@@ -268,7 +268,7 @@ class ActModule
      * timing model: push the dependence through the input ring and,
      * when a full sequence forms, encode it into the arena scratch
      * (stagedSequence()/stagedInputs()). The caller then obtains the
-     * network activation — typically via HwNeuralNetwork::inferBatch
+     * network activation — typically via HwNeuralNetwork::inferBatchFlat
      * over many staged sequences at once — and applies it with
      * commitPrediction(). stage+commit is bit-equivalent to the
      * function half of onDependence because the testing-mode forward

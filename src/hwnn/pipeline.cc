@@ -103,21 +103,6 @@ HwNeuralNetwork::infer(std::span<const double> inputs) const
 }
 
 void
-HwNeuralNetwork::inferBatch(std::span<const std::vector<double>> batch,
-                            std::vector<double> &outputs) const
-{
-    telemetry::ScopedSpan span("nn.infer_batch", "nn");
-    span.annotate(telemetry::arg(
-        "batch", static_cast<std::uint64_t>(batch.size())));
-    outputs.clear();
-    outputs.reserve(batch.size());
-    for (const auto &inputs : batch) {
-        toFixed(inputs);
-        outputs.push_back(sigmoid_.lookup(forwardFixed()).toDouble());
-    }
-}
-
-void
 HwNeuralNetwork::inferBatchFlat(std::span<const double> flat,
                                 std::size_t width, std::size_t count,
                                 std::vector<double> &outputs) const
@@ -132,12 +117,6 @@ HwNeuralNetwork::inferBatchFlat(std::span<const double> flat,
         toFixed(flat.subspan(i * width, width));
         outputs.push_back(sigmoid_.lookup(forwardFixed()).toDouble());
     }
-}
-
-double
-HwNeuralNetwork::confidence(std::span<const double> inputs) const
-{
-    return infer(inputs) - 0.5;
 }
 
 double

@@ -77,26 +77,16 @@ class HwNeuralNetwork
      * Evaluate a whole queue of input vectors in one pass — the
      * per-drain batch path: instead of touching the weight file once
      * per load, the drain walks every queued sequence against the
-     * weights while they are hot. Bit-identical to calling infer() on
+     * weights while they are hot. @p flat holds @p count input vectors
+     * of @p width doubles each, packed back to back — the layout the
+     * fleet batcher accumulates into, sparing one heap vector per
+     * staged sequence. Bit-identical to calling infer() on
      * each element in order (the forward pass is pure), appending one
      * output per element to @p outputs (cleared first).
-     */
-    void inferBatch(std::span<const std::vector<double>> batch,
-                    std::vector<double> &outputs) const;
-
-    /**
-     * Same batch pass over a flat buffer of @p count input vectors of
-     * @p width doubles each, packed back to back — the layout the
-     * fleet batcher accumulates into, sparing one heap vector per
-     * staged sequence. Bit-identical to the vector-of-vectors
-     * overload (both reduce to per-element infer()).
      */
     void inferBatchFlat(std::span<const double> flat, std::size_t width,
                         std::size_t count,
                         std::vector<double> &outputs) const;
-
-    /** Signed confidence, infer() - 0.5. */
-    double confidence(std::span<const double> inputs) const;
 
     /**
      * One forward pass yielding both the activation (returned) and the
@@ -114,11 +104,6 @@ class HwNeuralNetwork
      * ranking tie-break ("the most negative output first") needs.
      */
     double rawOutput(std::span<const double> inputs) const;
-
-    bool predictValid(std::span<const double> inputs) const
-    {
-        return infer(inputs) >= 0.5;
-    }
 
     /** One fixed-point back-propagation step; returns prior output. */
     double train(std::span<const double> inputs, double target,

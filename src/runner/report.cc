@@ -6,37 +6,15 @@
 #include <fstream>
 #include <sstream>
 
+#include "telemetry/json.hh"
+
 namespace act
 {
 
+using telemetry::jsonEscape;
+
 namespace
 {
-
-/** JSON string escaping (control characters, quotes, backslash). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** CSV cells: strip the two characters our simple reader cannot take. */
 std::string

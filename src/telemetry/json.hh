@@ -62,6 +62,13 @@ struct JsonValue
 std::unique_ptr<JsonValue> parseJson(const std::string &input,
                                      std::string *error = nullptr);
 
+/**
+ * Escape @p s for a JSON string body: quotes, backslash and every
+ * control character below 0x20. Bytes from 0x20 up pass through, so
+ * UTF-8 text stays as written. parseJson reads the result back to @p s.
+ */
+std::string jsonEscape(const std::string &s);
+
 } // namespace act::telemetry
 
 #endif // ACT_TELEMETRY_JSON_HH

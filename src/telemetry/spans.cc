@@ -1,9 +1,10 @@
 #include "telemetry/spans.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "telemetry/json.hh"
 
 namespace act::telemetry
 {
@@ -19,31 +20,6 @@ namespace
 {
 
 std::atomic<std::uint64_t> g_tracer_generation{1};
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 void
 writeArgs(std::ostringstream &out, const std::vector<SpanArg> &args)

@@ -8,7 +8,7 @@
  * and weight sets. Two layers of guarantee: (1) with weights quantised
  * to Q15.16 on both sides, the hardware output stays within the sigmoid
  * table's resolution of the software output on every topology the AM
- * can configure (inputs, hidden <= M = 10); (2) inferBatch and
+ * can configure (inputs, hidden <= M = 10); (2) inferBatchFlat and
  * inferWithRaw are bit-identical to the scalar infer/rawOutput path —
  * batching is a traffic optimisation, never a numerics change.
  */
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hh"
@@ -98,22 +99,21 @@ TEST(NpuVsSoftware, InferBatchBitIdenticalToScalarPath)
             w = rng.uniform(-2.0, 2.0);
         hw.loadWeights(weights);
 
-        std::vector<std::vector<double>> batch;
-        for (int i = 0; i < 64; ++i) {
-            std::vector<double> in(topo.inputs);
-            for (double &v : in)
-                v = rng.uniform(-4.0, 4.0);
-            batch.push_back(std::move(in));
-        }
+        const std::size_t count = 64;
+        std::vector<double> flat(count * topo.inputs);
+        for (double &v : flat)
+            v = rng.uniform(-4.0, 4.0);
 
         std::vector<double> batched;
-        hw.inferBatch(batch, batched);
-        ASSERT_EQ(batched.size(), batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
+        hw.inferBatchFlat(flat, topo.inputs, count, batched);
+        ASSERT_EQ(batched.size(), count);
+        const std::span<const double> items(flat);
+        for (std::size_t i = 0; i < count; ++i) {
             // Bitwise equality, not EXPECT_NEAR: the batch kernel must
             // be the same arithmetic, not a close approximation.
-            EXPECT_EQ(batched[i], hw.infer(batch[i])) << "seed " << seed
-                                                      << " item " << i;
+            EXPECT_EQ(batched[i],
+                      hw.infer(items.subspan(i * topo.inputs, topo.inputs)))
+                << "seed " << seed << " item " << i;
         }
     }
 }

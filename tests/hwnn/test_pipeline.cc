@@ -83,7 +83,7 @@ TEST_P(HwFidelity, AgreesWithSoftwareNetwork)
         // Classification may only flip inside the quantisation band
         // around the 0.5 threshold.
         if (std::abs(exact - 0.5) > 0.02 &&
-            hw.predictValid(in) != soft.predictValid(in)) {
+            (hw.infer(in) >= 0.5) != soft.predictValid(in)) {
             ++disagreements;
         }
     }

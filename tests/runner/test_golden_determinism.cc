@@ -16,6 +16,7 @@
 #include "runner/campaign.hh"
 #include "runner/report.hh"
 #include "runner/runner.hh"
+#include "telemetry/json.hh"
 #include "workloads/workload.hh"
 
 namespace act
@@ -59,6 +60,13 @@ TEST(GoldenDeterminism, SmokeCampaignByteIdenticalAcrossRunsAndJobs)
     // pipeline — a trivially empty report would pass the equalities.
     EXPECT_GT(serial_a.size(), 1000u);
     EXPECT_NE(serial_a.find("\"campaign\": \"smoke\""), std::string::npos);
+
+    // And it must be JSON the repo's one reader accepts, which is the
+    // check `actlint report` applies to every campaign directory.
+    std::string error;
+    const auto root = telemetry::parseJson(serial_a, &error);
+    ASSERT_NE(root, nullptr) << error;
+    EXPECT_TRUE(root->isObject());
 }
 
 } // namespace

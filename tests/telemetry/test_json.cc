@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the minimal JSON value-tree parser.
+ * Tests for the minimal JSON value-tree parser and its string writer.
  *
  * The parser validates actstat inputs and the telemetry export tests,
  * so the suite leans on rejection behaviour: malformed documents must
@@ -101,6 +101,26 @@ TEST(JsonParser, EnforcesDepthLimit)
     std::string error;
     EXPECT_EQ(parseJson(too_deep, &error), nullptr);
     EXPECT_FALSE(error.empty());
+}
+
+TEST(JsonParser, ReadsBackEveryEscapedAsciiByte)
+{
+    // The writer and the reader must agree on every byte a report or
+    // trace can carry: each one between letters, then all at once.
+    std::string all;
+    for (int b = 0x01; b <= 0x7f; ++b) {
+        const std::string s = "a" + std::string(1, static_cast<char>(b)) + "z";
+        const auto root = parseJson("\"" + jsonEscape(s) + "\"");
+        ASSERT_NE(root, nullptr) << "byte " << b;
+        EXPECT_EQ(root->text, s) << "byte " << b;
+        all += s[1];
+    }
+    const auto root = parseJson("{\"" + jsonEscape(all) + "\": \"" +
+                                jsonEscape(all) + "\"}");
+    ASSERT_NE(root, nullptr);
+    ASSERT_EQ(root->object.size(), 1u);
+    EXPECT_EQ(root->object[0].first, all);
+    EXPECT_EQ(root->object[0].second.text, all);
 }
 
 TEST(JsonParser, ErrorsCarryOffsets)

@@ -76,6 +76,7 @@
 #include "analysis/trace_lint.hh"
 #include "deps/encoder.hh"
 #include "runner/report.hh"
+#include "telemetry/json.hh"
 #include "trace/io.hh"
 #include "workloads/workload.hh"
 
@@ -271,39 +272,6 @@ slurp(const std::string &path, std::string &out)
     return true;
 }
 
-/**
- * Structural check of the deterministic JSON report: non-empty, one
- * top-level object, balanced braces/brackets outside strings.
- */
-bool
-jsonBalanced(const std::string &text)
-{
-    long depth = 0;
-    bool in_string = false;
-    bool escaped = false;
-    bool saw_object = false;
-    for (const char c : text) {
-        if (in_string) {
-            if (escaped)
-                escaped = false;
-            else if (c == '\\')
-                escaped = true;
-            else if (c == '"')
-                in_string = false;
-            continue;
-        }
-        switch (c) {
-          case '"': in_string = true; break;
-          case '{': case '[': ++depth; saw_object = true; break;
-          case '}': case ']': --depth; break;
-          default: break;
-        }
-        if (depth < 0)
-            return false;
-    }
-    return depth == 0 && !in_string && saw_object;
-}
-
 int
 cmdReport(const std::vector<std::string> &args, std::string cache_dir)
 {
@@ -318,10 +286,18 @@ cmdReport(const std::vector<std::string> &args, std::string cache_dir)
     if (!slurp(dir + "/report.json", json)) {
         std::printf("%s/report.json: unreadable\n", dir.c_str());
         ++errors;
-    } else if (!jsonBalanced(json)) {
-        std::printf("%s/report.json: malformed (unbalanced structure)\n",
-                    dir.c_str());
-        ++errors;
+    } else {
+        std::string error;
+        const auto root = telemetry::parseJson(json, &error);
+        if (root == nullptr) {
+            std::printf("%s/report.json: malformed (%s)\n", dir.c_str(),
+                        error.c_str());
+            ++errors;
+        } else if (!root->isObject()) {
+            std::printf("%s/report.json: malformed (not an object)\n",
+                        dir.c_str());
+            ++errors;
+        }
     }
 
     std::vector<ReportRow> rows;
