@@ -46,9 +46,12 @@ PairEncoder::localityFeature(const RawDependence &dep)
 double
 PairEncoder::distanceFeature(const RawDependence &dep)
 {
-    const auto delta = static_cast<double>(
-        static_cast<std::int64_t>(dep.load_pc) -
-        static_cast<std::int64_t>(dep.store_pc));
+    // Subtract in unsigned arithmetic, which wraps, then reinterpret
+    // as two's complement: the signed difference wherever it fits,
+    // without the overflow a signed subtraction of far-apart PCs has.
+    const auto delta = static_cast<double>(static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(dep.load_pc) -
+        static_cast<std::uint64_t>(dep.store_pc)));
     const double magnitude =
         std::log2(1.0 + std::abs(delta)) / 16.0 * kCodeRange;
     const double signed_mag = std::copysign(magnitude, delta);

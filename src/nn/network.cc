@@ -35,41 +35,35 @@ MlpNetwork::MlpNetwork(Topology topology)
 
 double
 MlpNetwork::forward(std::span<const double> inputs,
-                    std::vector<double> &hidden_out) const
+                    HiddenValues &hidden) const
 {
     ACT_ASSERT(inputs.size() == topology_.inputs);
-    hidden_out.resize(topology_.hidden);
     for (std::size_t k = 0; k < topology_.hidden; ++k) {
         const std::size_t base = hiddenBase(k);
         double acc = weights_[base]; // bias (input a_0 == 1)
         for (std::size_t j = 0; j < topology_.inputs; ++j)
             acc += weights_[base + 1 + j] * inputs[j];
-        hidden_out[k] = sigmoid(acc);
+        hidden[k] = sigmoid(acc);
     }
     const std::size_t base = outputBase();
     double acc = weights_[base];
     for (std::size_t k = 0; k < topology_.hidden; ++k)
-        acc += weights_[base + 1 + k] * hidden_out[k];
+        acc += weights_[base + 1 + k] * hidden[k];
     return sigmoid(acc);
 }
 
 double
 MlpNetwork::infer(std::span<const double> inputs) const
 {
-    return forward(inputs, hidden_scratch_);
-}
-
-double
-MlpNetwork::confidence(std::span<const double> inputs) const
-{
-    return infer(inputs) - 0.5;
+    HiddenValues hidden{};
+    return forward(inputs, hidden);
 }
 
 double
 MlpNetwork::train(std::span<const double> inputs, double target,
                   double learning_rate)
 {
-    std::vector<double> &hidden = hidden_scratch_;
+    HiddenValues hidden{};
     const double out = forward(inputs, hidden);
 
     // Output neuron delta (sigmoid error form from Section II-A).
@@ -77,7 +71,7 @@ MlpNetwork::train(std::span<const double> inputs, double target,
 
     // Propagate to hidden layer before touching the output weights.
     const std::size_t obase = outputBase();
-    std::vector<double> hidden_delta(topology_.hidden);
+    HiddenValues hidden_delta{};
     for (std::size_t k = 0; k < topology_.hidden; ++k) {
         const double back = weights_[obase + 1 + k] * out_delta;
         hidden_delta[k] = hidden[k] * (1.0 - hidden[k]) * back;

@@ -17,6 +17,7 @@
 #ifndef ACT_NN_NETWORK_HH
 #define ACT_NN_NETWORK_HH
 
+#include <array>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -78,15 +79,6 @@ class MlpNetwork
      */
     double infer(std::span<const double> inputs) const;
 
-    /**
-     * Signed confidence: infer(inputs) - 0.5.
-     *
-     * Positive = predicted valid; the paper's ranking step uses "the
-     * most negative neural network output" as a tie break, which maps
-     * to the most negative confidence here.
-     */
-    double confidence(std::span<const double> inputs) const;
-
     /** Classify: true = the dependence sequence is predicted valid. */
     bool predictValid(std::span<const double> inputs) const
     {
@@ -117,9 +109,15 @@ class MlpNetwork
     void setWeightAt(std::size_t index, double value);
 
   private:
-    /** Compute hidden activations into @p hidden_out, return output. */
+    /**
+     * One value per hidden neuron, on the stack: only the first
+     * topology().hidden entries are used.
+     */
+    using HiddenValues = std::array<double, kMaxFanIn>;
+
+    /** Compute hidden activations into @p hidden, return output. */
     double forward(std::span<const double> inputs,
-                   std::vector<double> &hidden_out) const;
+                   HiddenValues &hidden) const;
 
     std::size_t hiddenBase(std::size_t k) const
     {
@@ -133,9 +131,6 @@ class MlpNetwork
 
     Topology topology_;
     std::vector<double> weights_;
-
-    /** Scratch buffer reused across train() calls. */
-    mutable std::vector<double> hidden_scratch_;
 };
 
 } // namespace act

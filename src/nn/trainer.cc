@@ -1,6 +1,11 @@
 #include "nn/trainer.hh"
 
-#include <algorithm>
+#include <numeric>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "common/logging.hh"
 
 namespace act
 {
@@ -37,24 +42,44 @@ trainNetwork(MlpNetwork &network, const Dataset &data,
     if (data.empty())
         return result;
 
-    Dataset working = data;
+    // One row-major copy of the inputs: an epoch then reads contiguous
+    // rows instead of one heap block per example, and shuffles indices
+    // instead of examples.
+    const std::size_t count = data.size();
+    const std::size_t width = data.inputWidth();
+    std::vector<double> rows;
+    rows.reserve(count * width);
+    std::vector<double> labels;
+    labels.reserve(count);
+    for (const Example &example : data.examples()) {
+        ACT_ASSERT(example.inputs.size() == width);
+        rows.insert(rows.end(), example.inputs.begin(),
+                    example.inputs.end());
+        labels.push_back(example.label);
+    }
+    std::vector<std::size_t> order(count);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+
     double best_error = 1.0;
     std::size_t stale_epochs = 0;
 
     for (std::size_t epoch = 0; epoch < config.max_epochs; ++epoch) {
-        if (config.shuffle)
-            working.shuffle(rng);
+        // Dataset::shuffle's swaps, applied to the running order.
+        for (std::size_t i = count; i > 1; --i)
+            std::swap(order[i - 1], order[rng.next(i)]);
 
         std::size_t wrong = 0;
-        for (const auto &example : working.examples()) {
-            const double out = network.train(example.inputs, example.label,
-                                             config.learning_rate);
-            if ((out >= 0.5) != example.positive())
+        for (const std::size_t e : order) {
+            const double label = labels[e];
+            const double out = network.train(
+                std::span<const double>(rows.data() + e * width, width),
+                label, config.learning_rate);
+            if ((out >= 0.5) != (label >= 0.5)) // Example::positive()
                 ++wrong;
         }
         result.epochs = epoch + 1;
         result.final_error =
-            static_cast<double>(wrong) / static_cast<double>(working.size());
+            static_cast<double>(wrong) / static_cast<double>(count);
 
         if (result.final_error <= config.target_error) {
             result.converged = true;

@@ -31,9 +31,6 @@ struct TrainerConfig
 
     /** Epochs without improvement tolerated before stopping. */
     std::size_t patience = 200;
-
-    /** Shuffle examples between epochs. */
-    bool shuffle = true;
 };
 
 /** Outcome of a training run. */
@@ -45,10 +42,11 @@ struct TrainResult
 };
 
 /**
- * Train @p network on @p data.
+ * Train @p network on @p data, visiting the examples in a fresh
+ * Fisher-Yates order every epoch (the draws Dataset::shuffle makes).
  *
  * @param network Network to adjust in place.
- * @param data    Training examples (copied internally for shuffling).
+ * @param data    Training examples, all topology().inputs wide.
  * @param config  Hyper-parameters.
  * @param rng     Source of shuffling randomness.
  */

@@ -1,8 +1,6 @@
 #include "runner/report.hh"
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -11,6 +9,7 @@
 namespace act
 {
 
+using telemetry::formatDouble;
 using telemetry::jsonEscape;
 
 namespace
@@ -29,29 +28,6 @@ csvSanitise(const std::string &s)
 }
 
 } // namespace
-
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    // Integers render as integers ("10", not the also-round-tripping
-    // but uglier "1e+01").
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        v > -1e15 && v < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        return buf;
-    }
-    // Otherwise try increasing precision until the representation
-    // round-trips; 0.18 stays "0.18" rather than
-    // "0.18000000000000001". Deterministic for identical inputs.
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
-}
 
 std::string
 reportJson(const Campaign &campaign, const std::vector<JobResult> &results)

@@ -24,9 +24,6 @@
 namespace act
 {
 
-/** Shortest decimal rendering of @p v that round-trips via strtod. */
-std::string formatDouble(double v);
-
 /** The deterministic JSON report. */
 std::string reportJson(const Campaign &campaign,
                        const std::vector<JobResult> &results);

@@ -1,6 +1,7 @@
 #include "sim/memsys.hh"
 
 #include <algorithm>
+#include <new>
 
 #include "common/logging.hh"
 
@@ -53,7 +54,11 @@ MemorySystem::MemorySystem(const MemSystemConfig &config)
         const auto l2_entries =
             static_cast<std::size_t>(l2_sets) * config_.l2_assoc;
         l2_[c].lines.resize(l2_entries);
-        l2_[c].writers.assign(l2_entries * words_, WriterRecord{});
+        void *writers =
+            std::malloc(l2_entries * words_ * sizeof(WriterRecord));
+        if (writers == nullptr)
+            throw std::bad_alloc();
+        l2_[c].writers.reset(static_cast<WriterRecord *>(writers));
 
         l1_[c].sets = l1_sets;
         l1_[c].assoc = config_.l1_assoc;
@@ -98,11 +103,11 @@ MemorySystem::victimLine(CoreId core, Addr line_addr)
     // Evict: per Section V, last-writer metadata is not written back
     // to memory (unless the ablation flag says otherwise, in which
     // case this model simply keeps no record either way — the flag
-    // exists to quantify the dependence-loss rate).
+    // exists to quantify the dependence-loss rate). The caller's
+    // install clears the victim's writer block.
     ++stats_.evictions;
     l1Invalidate(core, victim->tag);
     victim->state = Mesi::kInvalid;
-    std::fill_n(lineWriters(array, victim), words_, WriterRecord{});
     return *victim;
 }
 
@@ -232,8 +237,6 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
             }
             if (is_store) {
                 remote->state = Mesi::kInvalid;
-                std::fill_n(lineWriters(l2_[c], remote), words_,
-                            WriterRecord{});
                 l1Invalidate(c, laddr);
                 ++stats_.invalidations;
             } else if (remote->state == Mesi::kModified ||
@@ -247,6 +250,7 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
     Line &dest = upgrade ? *line : victimLine(core, laddr);
     WriterRecord *dest_writers = lineWriters(l2_[core], &dest);
     if (!upgrade) {
+        // The only clear of a writer block (see CacheArray::writers).
         dest.tag = laddr;
         std::fill_n(dest_writers, words_, WriterRecord{});
     }
@@ -343,20 +347,6 @@ MemorySystem::stateOf(CoreId core, Addr addr) const
     const Line *line =
         const_cast<MemorySystem *>(this)->findLine(core, laddr);
     return line ? line->state : Mesi::kInvalid;
-}
-
-void
-MemorySystem::reset()
-{
-    for (auto &array : l2_) {
-        for (auto &line : array.lines)
-            line.state = Mesi::kInvalid;
-        std::fill(array.writers.begin(), array.writers.end(),
-                  WriterRecord{});
-    }
-    for (auto &array : l1_)
-        std::fill(array.valid.begin(), array.valid.end(), 0);
-    memory_writers_.clear();
 }
 
 } // namespace act

@@ -18,6 +18,8 @@
 #define ACT_SIM_MEMSYS_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -146,9 +148,6 @@ class MemorySystem
      */
     MemAccess access(CoreId core, const TraceEvent &event);
 
-    /** Drop all cached state (not the statistics). */
-    void reset();
-
     /**
      * Coherence state of @p addr's line in @p core's L2 (kInvalid when
      * absent). Introspection for tests and debugging.
@@ -170,13 +169,24 @@ class MemorySystem
         std::uint64_t lru = 0;
     };
 
+    /** Releases a std::malloc'ed block. */
+    struct FreeDeleter
+    {
+        void operator()(void *block) const { std::free(block); }
+    };
+
     struct CacheArray
     {
         std::uint32_t sets = 0;
         std::uint32_t assoc = 0;
         std::vector<Line> lines; //!< sets * assoc, set-major.
-        /** Last writer per word, lines * words, line-major. */
-        std::vector<WriterRecord> writers;
+        /**
+         * Last writer per word, lines * words, line-major. Left
+         * uninitialised: a line's block is cleared when the line is
+         * installed and read only while the line is valid, so building
+         * a model never touches the blocks a short trace leaves unused.
+         */
+        std::unique_ptr<WriterRecord[], FreeDeleter> writers;
     };
 
     struct L1Array
@@ -203,7 +213,7 @@ class MemorySystem
     WriterRecord *
     lineWriters(CacheArray &array, const Line *line)
     {
-        return array.writers.data() +
+        return array.writers.get() +
                static_cast<std::size_t>(line - array.lines.data()) *
                    words_;
     }

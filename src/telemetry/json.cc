@@ -309,4 +309,27 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+std::string
+formatDouble(double v)
+{
+    char buf[64];
+    // The range test comes first: converting NaN or a value outside
+    // long long's range is undefined behaviour.
+    if (v > -1e15 && v < 1e15 &&
+        v == static_cast<double>(static_cast<long long>(v))) {
+        std::snprintf(buf, sizeof(buf), "%lld",
+                      static_cast<long long>(v));
+        return buf;
+    }
+    // Otherwise try increasing precision until the representation
+    // round-trips; 0.18 stays "0.18" rather than
+    // "0.18000000000000001". Deterministic for identical inputs.
+    for (int precision = 1; precision <= 17; ++precision) {
+        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
+}
+
 } // namespace act::telemetry

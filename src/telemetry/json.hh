@@ -69,6 +69,13 @@ std::unique_ptr<JsonValue> parseJson(const std::string &input,
  */
 std::string jsonEscape(const std::string &s);
 
+/**
+ * Shortest decimal rendering of @p v that strtod reads back to @p v,
+ * for JSON numbers. Integral values below 1e15 in magnitude print as
+ * integers ("10", not the also-round-tripping "1e+01").
+ */
+std::string formatDouble(double v);
+
 } // namespace act::telemetry
 
 #endif // ACT_TELEMETRY_JSON_HH

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -208,25 +206,6 @@ diffSnapshots(const Snapshot &newer, const Snapshot &older)
 namespace
 {
 
-/** Shortest decimal rendering that round-trips (mirrors report.cc). */
-std::string
-renderDouble(double v)
-{
-    char buf[64];
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        v > -1e15 && v < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        return buf;
-    }
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
-}
-
 template <typename Map, typename Render>
 void
 writeSection(std::ostringstream &out, const char *name, const Map &map,
@@ -251,7 +230,7 @@ snapshotJson(const Snapshot &snapshot)
     std::ostringstream out;
     out << "{\n";
     out << "  \"schema\": \"act-metrics-v1\",\n";
-    out << "  \"uptime_ms\": " << renderDouble(snapshot.uptime_ms)
+    out << "  \"uptime_ms\": " << formatDouble(snapshot.uptime_ms)
         << ",\n";
     const auto number = [](std::uint64_t v) { return std::to_string(v); };
     const auto signed_number = [](std::int64_t v) {

@@ -43,7 +43,6 @@ TEST(MlpNetwork, ZeroWeightsOutputHalf)
     const MlpNetwork net(Topology{4, 6});
     const std::vector<double> in{0.3, -0.7, 1.0, 0.0};
     EXPECT_DOUBLE_EQ(net.infer(in), 0.5);
-    EXPECT_DOUBLE_EQ(net.confidence(in), 0.0);
     EXPECT_TRUE(net.predictValid(in)); // boundary counts as valid
 }
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/hashing.hh"
 #include "nn/trainer.hh"
 
 namespace act
@@ -129,6 +132,41 @@ TEST(Trainer, PatienceStopsStaleTraining)
     const TrainResult result = trainNetwork(net, noise, config, rng);
     EXPECT_LT(result.epochs, 5000u);
     EXPECT_FALSE(result.converged);
+}
+
+TEST(Trainer, GoldenRunOnTheDiagnosisTopology)
+{
+    // Pins the trainer bit for bit, not only run against run: a
+    // reordered sum or a different visiting order changes the hash.
+    // 6 x 10 is the diagnosis topology (3 dependences x 2 features).
+    Rng rng(0x7ea1);
+    Dataset data;
+    for (int i = 0; i < 3000; ++i) {
+        Example example;
+        for (int j = 0; j < 6; ++j)
+            example.inputs.push_back(rng.uniform(-2.0, 2.0));
+        const std::vector<double> &x = example.inputs;
+        const bool valid = x[0] * x[1] + x[2] - 0.5 * x[3] * x[4] > x[5];
+        example.label = valid != rng.chance(0.05) ? 1.0 : 0.0;
+        data.add(std::move(example));
+    }
+    MlpNetwork net(Topology{6, 10}, rng);
+    TrainerConfig config;
+    config.max_epochs = 30;
+    const TrainResult result = trainNetwork(net, data, config, rng);
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix_double = [&h](double v) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        h = hashCombine(h, bits);
+    };
+    for (const double w : net.weights())
+        mix_double(w);
+    h = hashCombine(h, result.epochs);
+    mix_double(result.final_error);
+    EXPECT_EQ(result.epochs, 30u);
+    EXPECT_EQ(h, 0x5bd68e060f046ea1ULL);
 }
 
 TEST(Trainer, EvaluateSplitsByClass)

@@ -15,12 +15,15 @@
 #include "runner/campaign.hh"
 #include "runner/report.hh"
 #include "runner/runner.hh"
+#include "telemetry/json.hh"
 #include "workloads/workload.hh"
 
 namespace act
 {
 namespace
 {
+
+using telemetry::formatDouble;
 
 class RegisterWorkloads : public ::testing::Environment
 {
@@ -125,8 +128,10 @@ TEST(CampaignDeterminism, CacheDoesNotChangeResults)
 
 TEST(Report, FormatDoubleRoundTrips)
 {
+    // 1e300 and +-9.3e18 lie outside long long's range.
     for (const double v : {0.0, 1.0, -1.5, 0.1, 1.0 / 3.0, 12345.678,
-                           1e-9, 2.2250738585072014e-308}) {
+                           1e-9, 2.2250738585072014e-308, 1e300, -1e300,
+                           9.3e18, -9.3e18}) {
         const std::string text = formatDouble(v);
         EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
     }

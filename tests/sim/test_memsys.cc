@@ -210,15 +210,71 @@ TEST(MemorySystem, StatsAccumulate)
     EXPECT_EQ(s.writer_known, 2u);
 }
 
-TEST(MemorySystem, ResetClearsCachesNotStats)
+/** Loads @p addr twice on @p core; true if the re-load names a writer. */
+bool
+reloadShowsWriter(MemorySystem &mem, CoreId core, Addr addr)
 {
-    MemorySystem mem(smallConfig());
-    mem.access(0, store(0, 0x30, 0x1000));
-    mem.reset();
-    const MemAccess a = mem.access(0, load(0, 0x40, 0x1000));
-    EXPECT_EQ(a.level, AccessLevel::kMemory);
-    EXPECT_FALSE(a.last_writer.has_value());
-    EXPECT_EQ(mem.stats().stores, 1u);
+    mem.access(core, load(core, 0x40, addr));
+    return mem.access(core, load(core, 0x40, addr)).last_writer.has_value();
+}
+
+TEST(MemorySystem, FilledLinesNeverShowEarlierWriters)
+{
+    // The last-writer arena is not cleared when it is allocated, on
+    // eviction or on a remote invalidation: installing a line is the
+    // only clear. A line filled from memory must still show no writer
+    // when it is read again, whatever the block held before.
+    const MemSystemConfig config; // Table III
+    const Addr l2_bytes = config.l2_bytes;
+    const Addr sets = config.l2_bytes / config.line_bytes / config.l2_assoc;
+    const Addr way_stride = sets * config.line_bytes; // Same set.
+    {
+        // Leave a store in every word of every L2 line, in freed memory
+        // the next system's arena may be given.
+        MemorySystem dirty(config);
+        for (CoreId c = 0; c < config.cores; ++c) {
+            for (Addr a = 0; a < l2_bytes; a += 4)
+                dirty.access(c, store(c, 0x30, c * l2_bytes + a));
+        }
+    }
+    MemorySystem mem(config);
+    std::size_t stale = 0;
+    for (CoreId c = 0; c < config.cores; ++c) {
+        for (Addr a = 0; a < l2_bytes; a += config.line_bytes)
+            stale += reloadShowsWriter(mem, c, c * l2_bytes + a);
+    }
+    EXPECT_EQ(stale, 0u) << "fresh lines";
+
+    // Eviction: a stored line is the set's LRU victim when a line from
+    // memory arrives, so the new line takes its slot.
+    const Addr evict_base = config.cores * l2_bytes;
+    const auto evictions_before = mem.stats().evictions;
+    stale = 0;
+    for (Addr set = 0; set < 64; ++set) {
+        const Addr line = evict_base + set * config.line_bytes;
+        mem.access(0, store(0, 0x31, line));
+        for (Addr way = 1; way < config.l2_assoc; ++way)
+            mem.access(0, load(0, 0x41, line + way * way_stride));
+        const Addr refill = line + config.l2_assoc * way_stride;
+        stale += reloadShowsWriter(mem, 0, refill);
+        EXPECT_EQ(mem.stateOf(0, line), Mesi::kInvalid);
+    }
+    EXPECT_GT(mem.stats().evictions, evictions_before);
+    EXPECT_EQ(stale, 0u) << "after eviction";
+
+    // Remote invalidation: core 1's store invalidates core 0's copy,
+    // and core 0 refills the slot from memory.
+    MemorySystem fresh(config);
+    const auto invalidations_before = fresh.stats().invalidations;
+    stale = 0;
+    for (Addr set = 0; set < 64; ++set) {
+        const Addr line = set * config.line_bytes;
+        fresh.access(0, store(0, 0x32, line));
+        fresh.access(1, store(1, 0x33, line));
+        stale += reloadShowsWriter(fresh, 0, line + way_stride);
+    }
+    EXPECT_EQ(fresh.stats().invalidations, invalidations_before + 64);
+    EXPECT_EQ(stale, 0u) << "after remote invalidation";
 }
 
 /** Line-size sweep (Table III: 4..128 B). */

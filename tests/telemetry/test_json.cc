@@ -109,8 +109,8 @@ TEST(JsonParser, ReadsBackEveryEscapedAsciiByte)
     // trace can carry: each one between letters, then all at once.
     std::string all;
     for (int b = 0x01; b <= 0x7f; ++b) {
-        const std::string s = "a" + std::string(1, static_cast<char>(b)) + "z";
-        const auto root = parseJson("\"" + jsonEscape(s) + "\"");
+        const std::string s{'a', static_cast<char>(b), 'z'};
+        const auto root = parseJson('"' + jsonEscape(s) + '"');
         ASSERT_NE(root, nullptr) << "byte " << b;
         EXPECT_EQ(root->text, s) << "byte " << b;
         all += s[1];

@@ -164,8 +164,9 @@ TEST(SpanTracer, TimestampsMonotonePerThread)
         const std::uint64_t tid = event.find("tid")->asU64();
         const double ts = event.find("ts")->number;
         const auto it = last_ts.find(tid);
-        if (it != last_ts.end())
+        if (it != last_ts.end()) {
             EXPECT_GE(ts, it->second);
+        }
         last_ts[tid] = ts;
     }
     EXPECT_EQ(timed, 3u * 20u * 3u);
