@@ -416,12 +416,12 @@ ActModule::onDependence(const RawDependence &dep, ThreadId tid,
             // Injected Debug Buffer fault: the flagged sequence is
             // silently lost before it can be logged.
             ++arena.stats.debug_drops_injected;
-        } else if (arena.debug.log(
-                       DebugEntry{sequence,
-                                  training ? network_.rawOutput(inputs)
-                                           : raw,
-                                  arena.stats.predictions, tid})) {
-            ++arena.stats.debug_buffer_overwrites;
+        } else {
+            if (training)
+                network_.inferWithRaw(inputs, raw);
+            if (arena.debug.log(DebugEntry{sequence, raw,
+                                           arena.stats.predictions, tid}))
+                ++arena.stats.debug_buffer_overwrites;
         }
     }
 
@@ -489,7 +489,7 @@ ActModule::commitPrediction(const DependenceSequence &sequence,
         // Buffer), so the raw accumulator re-read — a pure forward
         // pass over the same weights the batch inference used — stays
         // off the common path.
-        outcome.raw = network_.rawOutput(inputs);
+        network_.inferWithRaw(inputs, outcome.raw);
         if (config_.faults && config_.faults->dropDebugLog()) {
             ++arena.stats.debug_drops_injected;
         } else if (arena.debug.log(DebugEntry{sequence, outcome.raw,
@@ -528,7 +528,7 @@ ActModule::commitEnsemble(const DependenceSequence &sequence,
 
     if (outcome.predicted_invalid) {
         ++arena.stats.predicted_invalid;
-        outcome.raw = network_.rawOutput(inputs);
+        network_.inferWithRaw(inputs, outcome.raw);
         if (config_.faults && config_.faults->dropDebugLog()) {
             ++arena.stats.debug_drops_injected;
         } else if (arena.debug.log(DebugEntry{sequence, outcome.raw,

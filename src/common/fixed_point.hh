@@ -37,23 +37,42 @@ class FixedPoint
     /** Raw storage type. */
     using Raw = std::int32_t;
 
+    /** Number of fractional bits. */
+    static constexpr int kFracBits = FracBits;
+
     /** Scaling factor 2^FracBits. */
     static constexpr double kScale = static_cast<double>(1LL << FracBits);
 
     constexpr FixedPoint() = default;
 
-    /** Convert from double with rounding and saturation. */
+    /**
+     * Convert from double, rounding half away from zero (llround's
+     * rule) and saturating; NaN converts to 0.
+     *
+     * The rounding is inline rather than a libm call: truncate, then
+     * step one unit away from zero when the dropped fraction's
+     * magnitude is at least 0.5. The clamp keeps the truncating cast
+     * inside Raw's range, and x - trunc(x) is exact in binary floating
+     * point, so the comparison sees the true fraction. A fraction of
+     * 0.5 or more means the clamped value is not an integer, so the
+     * step cannot leave Raw's range either.
+     */
     static constexpr FixedPoint
     fromDouble(double v)
     {
         const double scaled = v * kScale;
+        if (std::isnan(scaled))
+            return FixedPoint{};
         const double lo = static_cast<double>(
             std::numeric_limits<Raw>::min());
         const double hi = static_cast<double>(
             std::numeric_limits<Raw>::max());
         const double clamped = std::clamp(scaled, lo, hi);
+        const auto whole = static_cast<Raw>(clamped);
+        const double fraction = clamped - static_cast<double>(whole);
         FixedPoint out;
-        out.raw_ = static_cast<Raw>(std::llround(clamped));
+        out.raw_ = static_cast<Raw>(whole + (fraction >= 0.5) -
+                                    (fraction <= -0.5));
         return out;
     }
 

@@ -1,6 +1,8 @@
 #include "hwnn/pipeline.hh"
 
 #include <algorithm>
+#include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 #include "telemetry/spans.hh"
@@ -23,6 +25,48 @@ weightedSumRow(const HwFixed *w, const HwFixed *inputs, std::size_t n)
     for (std::size_t j = 0; j < n; ++j)
         acc = acc + w[j + 1] * inputs[j];
     return acc;
+}
+
+/**
+ * weightedSumRow without the saturation clamps, in plain int64. Equal
+ * to it bit for bit whenever no product or partial sum leaves the
+ * int32 range, which the caller establishes with exactInputBound().
+ */
+HwFixed
+exactSumRow(const HwFixed *w, const HwFixed *inputs, std::size_t n)
+{
+    std::int64_t acc = w[0].raw();
+    for (std::size_t j = 0; j < n; ++j) {
+        acc += (std::int64_t{w[j + 1].raw()} * inputs[j].raw()) >>
+               HwFixed::kFracBits;
+    }
+    return HwFixed::fromRaw(static_cast<HwFixed::Raw>(acc));
+}
+
+/**
+ * Largest input magnitude X (raw units) at which weightedSumRow over
+ * @p w cannot saturate; -1 when even X = 0 is not covered.
+ *
+ * With Q = 2^kFracBits, each product term is floor(w * x / Q), whose
+ * magnitude is at most |w| * |x| / Q + 1. So while every |x_j| <= X,
+ * every product and every partial sum is at most
+ *     |b| + sum_j |w_j| * X / Q + n,
+ * and when that is <= INT32_MAX neither clamp can fire.
+ */
+std::int64_t
+exactInputBound(const HwFixed *w, std::size_t n)
+{
+    std::int64_t weight_sum = 0;
+    for (std::size_t j = 0; j < n; ++j)
+        weight_sum += std::abs(std::int64_t{w[j + 1].raw()});
+    const std::int64_t slack = std::numeric_limits<HwFixed::Raw>::max() -
+                               std::abs(std::int64_t{w[0].raw()}) -
+                               static_cast<std::int64_t>(n);
+    if (slack < 0)
+        return -1;
+    if (weight_sum == 0)
+        return std::numeric_limits<std::int64_t>::max();
+    return (slack << HwFixed::kFracBits) / weight_sum;
 }
 
 /** Neuron::applyUpdate over a packed register row. */
@@ -50,9 +94,7 @@ HwNeuralNetwork::HwNeuralNetwork(const HwNetworkConfig &config,
     ACT_ASSERT(topology_.hidden <= config_.neuron.max_inputs);
     hidden_w_.assign(config_.neuron.max_inputs * reg_stride_, HwFixed{});
     output_w_.assign(reg_stride_, HwFixed{});
-    fixed_inputs_.reserve(config_.neuron.max_inputs);
-    hidden_out_.reserve(config_.neuron.max_inputs);
-    hidden_delta_.reserve(config_.neuron.max_inputs);
+    updateSaturationBound();
 }
 
 void
@@ -73,33 +115,51 @@ HwNeuralNetwork::weightCount() const
            (topology_.hidden + 1);
 }
 
-void
-HwNeuralNetwork::toFixed(std::span<const double> inputs) const
+HwFixed
+HwNeuralNetwork::forward(std::span<const double> inputs,
+                         Activations &act) const
 {
     ACT_ASSERT(inputs.size() == topology_.inputs);
-    fixed_inputs_.clear();
-    for (const double v : inputs)
-        fixed_inputs_.push_back(HwFixed::fromDouble(v));
+    const std::size_t n = topology_.inputs;
+    std::int64_t largest = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+        act.inputs[j] = HwFixed::fromDouble(inputs[j]);
+        largest = std::max(largest,
+                           std::abs(std::int64_t{act.inputs[j].raw()}));
+    }
+    const bool exact = largest <= exact_input_bound_;
+    for (std::size_t k = 0; k < topology_.hidden; ++k) {
+        const HwFixed *row = hiddenRow(k);
+        act.hidden[k] = sigmoid_.lookup(
+            exact ? exactSumRow(row, act.inputs.data(), n)
+                  : weightedSumRow(row, act.inputs.data(), n));
+    }
+    return output_exact_
+               ? exactSumRow(output_w_.data(), act.hidden.data(),
+                             topology_.hidden)
+               : weightedSumRow(output_w_.data(), act.hidden.data(),
+                                topology_.hidden);
 }
 
-HwFixed
-HwNeuralNetwork::forwardFixed() const
+void
+HwNeuralNetwork::updateSaturationBound()
 {
-    const HwFixed *in = fixed_inputs_.data();
-    hidden_out_.resize(topology_.hidden);
+    exact_input_bound_ = std::numeric_limits<std::int64_t>::max();
     for (std::size_t k = 0; k < topology_.hidden; ++k) {
-        hidden_out_[k] = sigmoid_.lookup(
-            weightedSumRow(hiddenRow(k), in, topology_.inputs));
+        exact_input_bound_ =
+            std::min(exact_input_bound_,
+                     exactInputBound(hiddenRow(k), topology_.inputs));
     }
-    return weightedSumRow(output_w_.data(), hidden_out_.data(),
-                          topology_.hidden);
+    // Hidden activations are sigmoid table values in [0, 1].
+    output_exact_ = exactInputBound(output_w_.data(), topology_.hidden) >=
+                    std::int64_t{1} << HwFixed::kFracBits;
 }
 
 double
 HwNeuralNetwork::infer(std::span<const double> inputs) const
 {
-    toFixed(inputs);
-    return sigmoid_.lookup(forwardFixed()).toDouble();
+    Activations act;
+    return sigmoid_.lookup(forward(inputs, act)).toDouble();
 }
 
 void
@@ -113,9 +173,11 @@ HwNeuralNetwork::inferBatchFlat(std::span<const double> flat,
         telemetry::arg("batch", static_cast<std::uint64_t>(count)));
     outputs.clear();
     outputs.reserve(count);
+    Activations act;
     for (std::size_t i = 0; i < count; ++i) {
-        toFixed(flat.subspan(i * width, width));
-        outputs.push_back(sigmoid_.lookup(forwardFixed()).toDouble());
+        outputs.push_back(
+            sigmoid_.lookup(forward(flat.subspan(i * width, width), act))
+                .toDouble());
     }
 }
 
@@ -123,25 +185,18 @@ double
 HwNeuralNetwork::inferWithRaw(std::span<const double> inputs,
                               double &raw) const
 {
-    toFixed(inputs);
-    const HwFixed acc = forwardFixed();
+    Activations act;
+    const HwFixed acc = forward(inputs, act);
     raw = acc.toDouble();
     return sigmoid_.lookup(acc).toDouble();
-}
-
-double
-HwNeuralNetwork::rawOutput(std::span<const double> inputs) const
-{
-    toFixed(inputs);
-    return forwardFixed().toDouble();
 }
 
 double
 HwNeuralNetwork::train(std::span<const double> inputs, double target,
                        double learning_rate)
 {
-    toFixed(inputs);
-    const HwFixed out = sigmoid_.lookup(forwardFixed());
+    Activations act;
+    const HwFixed out = sigmoid_.lookup(forward(inputs, act));
 
     // Output delta: o * (1 - o) * (t - o), scaled by the learning rate.
     const HwFixed one = HwFixed::fromDouble(1.0);
@@ -150,19 +205,20 @@ HwNeuralNetwork::train(std::span<const double> inputs, double target,
     const HwFixed lr = HwFixed::fromDouble(learning_rate);
 
     // Hidden deltas use the output weights *before* the update.
-    hidden_delta_.resize(topology_.hidden);
+    std::array<HwFixed, kMaxFanIn> hidden_delta;
     for (std::size_t k = 0; k < topology_.hidden; ++k) {
         const HwFixed back = output_w_[k + 1] * out_err;
-        hidden_delta_[k] =
-            hidden_out_[k] * (one - hidden_out_[k]) * back * lr;
+        hidden_delta[k] =
+            act.hidden[k] * (one - act.hidden[k]) * back * lr;
     }
 
-    applyUpdateRow(output_w_.data(), lr * out_err, hidden_out_.data(),
+    applyUpdateRow(output_w_.data(), lr * out_err, act.hidden.data(),
                    topology_.hidden);
     for (std::size_t k = 0; k < topology_.hidden; ++k) {
-        applyUpdateRow(hiddenRow(k), hidden_delta_[k],
-                       fixed_inputs_.data(), topology_.inputs);
+        applyUpdateRow(hiddenRow(k), hidden_delta[k], act.inputs.data(),
+                       topology_.inputs);
     }
+    updateSaturationBound();
 
     return out.toDouble();
 }
@@ -185,6 +241,7 @@ HwNeuralNetwork::loadWeights(std::span<const double> weights)
     const std::size_t out_base = topology_.hidden * stride;
     for (std::size_t j = 0; j < topology_.hidden + 1; ++j)
         output_w_[j] = HwFixed::fromDouble(weights[out_base + j]);
+    updateSaturationBound();
 }
 
 std::vector<double>
@@ -225,6 +282,7 @@ HwNeuralNetwork::setWeightAt(std::size_t index, double value)
     } else {
         output_w_[index - hidden_span] = HwFixed::fromDouble(value);
     }
+    updateSaturationBound();
 }
 
 void

@@ -18,6 +18,8 @@
 #ifndef ACT_HWNN_PIPELINE_HH
 #define ACT_HWNN_PIPELINE_HH
 
+#include <array>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <span>
@@ -52,6 +54,9 @@ struct AcceptResult
 
 /**
  * Functional + timing model of the AM's neural network.
+ *
+ * The const inference entry points keep every per-pass value on the
+ * stack, so several threads may run them on one network at once.
  */
 class HwNeuralNetwork
 {
@@ -89,21 +94,14 @@ class HwNeuralNetwork
                         std::vector<double> &outputs) const;
 
     /**
-     * One forward pass yielding both the activation (returned) and the
-     * output neuron's pre-sigmoid accumulator (@p raw). Bit-identical
-     * to calling infer() and rawOutput() separately, at half the
-     * weight-file traffic — the AM's testing-mode path logs the raw
-     * value for every flagged sequence.
+     * One forward pass yielding both the activation (returned,
+     * bit-identical to infer()) and the output neuron's pre-sigmoid
+     * accumulator (@p raw). The sigmoid saturates for confident
+     * predictions, so the Debug Buffer records the raw value instead:
+     * it preserves the dynamic range the ranking tie-break ("the most
+     * negative output first") needs.
      */
     double inferWithRaw(std::span<const double> inputs, double &raw) const;
-
-    /**
-     * The output neuron's raw accumulator value (pre-sigmoid). The
-     * sigmoid saturates for confident predictions, so the Debug Buffer
-     * records this value instead: it preserves the dynamic range the
-     * ranking tie-break ("the most negative output first") needs.
-     */
-    double rawOutput(std::span<const double> inputs) const;
 
     /** One fixed-point back-propagation step; returns prior output. */
     double train(std::span<const double> inputs, double target,
@@ -151,14 +149,24 @@ class HwNeuralNetwork
     std::uint64_t rejectedCount() const { return rejected_; }
 
   private:
+    /** Quantised inputs and hidden activations of one forward pass. */
+    struct Activations
+    {
+        std::array<HwFixed, kMaxFanIn> inputs;
+        std::array<HwFixed, kMaxFanIn> hidden;
+    };
+
     void drain(Cycle now) const;
 
-    /** Quantise @p inputs into fixed_inputs_. */
-    void toFixed(std::span<const double> inputs) const;
+    /**
+     * The forward pass behind every inference and training step:
+     * quantise @p inputs and evaluate the hidden bank into @p act,
+     * then return the output neuron's pre-sigmoid accumulator.
+     */
+    HwFixed forward(std::span<const double> inputs, Activations &act) const;
 
-    /** Forward pass over fixed_inputs_; fills hidden_out_ and returns
-     *  the output neuron's pre-sigmoid accumulator. */
-    HwFixed forwardFixed() const;
+    /** Recompute the saturation bound; call whenever registers change. */
+    void updateSaturationBound();
 
     /** Weight registers of hidden neuron @p k ([bias, w_1 .. w_M]). */
     HwFixed *hiddenRow(std::size_t k) { return &hidden_w_[k * reg_stride_]; }
@@ -184,16 +192,24 @@ class HwNeuralNetwork
     std::vector<HwFixed> hidden_w_;  //!< M x reg_stride_, row-major.
     std::vector<HwFixed> output_w_;  //!< reg_stride_ registers.
 
+    /**
+     * Saturation bound: the largest quantised input magnitude (raw
+     * units) at which no product or partial sum of any hidden neuron
+     * can leave the int32 range. An inference whose inputs all lie
+     * within it sums the hidden bank in plain int64 (bit-identical to
+     * the saturating sum); any other takes the saturating loop.
+     */
+    std::int64_t exact_input_bound_ = 0;
+    /** Whether the output neuron's sum cannot saturate on any hidden
+     *  activations (table values in [0, 1]). */
+    bool output_exact_ = false;
+
     /** Completion cycles of queued inputs (front = oldest). */
     mutable std::deque<Cycle> in_flight_;
     Cycle last_completion_ = 0;
 
     std::uint64_t accepted_ = 0;
     std::uint64_t rejected_ = 0;
-
-    mutable std::vector<HwFixed> fixed_inputs_;
-    mutable std::vector<HwFixed> hidden_out_;
-    mutable std::vector<HwFixed> hidden_delta_; //!< train() scratch.
 };
 
 /**

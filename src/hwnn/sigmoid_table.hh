@@ -6,9 +6,10 @@
 #ifndef ACT_HWNN_SIGMOID_TABLE_HH
 #define ACT_HWNN_SIGMOID_TABLE_HH
 
+#include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/fixed_point.hh"
@@ -34,19 +35,30 @@ class SigmoidTable
     /** Largest input magnitude the table resolves. */
     static constexpr double kInputRange = 8.0;
 
+    /** log2 of kInputRange in raw Q15.16 units. */
+    static constexpr int kIndexShift = 19;
+    static_assert(HwFixed::kScale * kInputRange ==
+                      static_cast<double>(1LL << kIndexShift),
+                  "kIndexShift must be log2(HwFixed::kScale * kInputRange)");
+
     /** @param entries Table resolution (hardware default 256). */
     explicit SigmoidTable(std::size_t entries = 256);
 
-    /** Look up sigmoid(x) with linear index truncation. */
+    /**
+     * Look up sigmoid(x) with linear index truncation: the index is
+     * floor(|x| / kInputRange * (entries - 1)), capped at the last
+     * entry. In raw units that is (|raw| * (entries - 1)) >> 19, which
+     * 64-bit integers hold exactly (|raw| <= 2^31).
+     */
     HwFixed
     lookup(HwFixed x) const
     {
-        const std::size_t negative = x.raw() < 0;
-        const double mag = std::abs(x.toDouble());
-        const auto last = static_cast<double>(tables_[0].size() - 1);
-        const auto index =
-            static_cast<std::size_t>(std::min(mag / kInputRange * last,
-                                              last));
+        const std::int64_t raw = x.raw();
+        const std::size_t negative = raw < 0;
+        const auto mag = static_cast<std::uint64_t>(raw < 0 ? -raw : raw);
+        const std::uint64_t last = tables_[0].size() - 1;
+        const std::uint64_t index =
+            std::min((mag * last) >> kIndexShift, last);
         return tables_[negative][index];
     }
 

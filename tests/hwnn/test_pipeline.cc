@@ -6,8 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <span>
+#include <thread>
 
+#include "analysis/config_check.hh"
+#include "common/hashing.hh"
+#include "hwnn/neuron.hh"
 #include "hwnn/pipeline.hh"
 #include "nn/trainer.hh"
 
@@ -104,8 +111,8 @@ TEST(HwNeuralNetwork, RawOutputSignMatchesClassification)
         std::vector<double> in;
         for (int j = 0; j < 6; ++j)
             in.push_back(inputs.uniform(-2, 2));
-        const double raw = hw.rawOutput(in);
-        const double out = hw.infer(in);
+        double raw = 0.0;
+        const double out = hw.inferWithRaw(in, raw);
         if (std::abs(out - 0.5) > 0.02) {
             EXPECT_EQ(raw >= 0.0, out >= 0.5) << "raw=" << raw;
         }
@@ -126,7 +133,11 @@ TEST(HwNeuralNetwork, RawOutputPreservesDynamicRange)
     const std::vector<double> b{-2.0};
     EXPECT_LT(hw.infer(a), 0.01);
     EXPECT_LT(hw.infer(b), 0.01);
-    EXPECT_NE(hw.rawOutput(a), hw.rawOutput(b));
+    double raw_a = 0.0;
+    double raw_b = 0.0;
+    hw.inferWithRaw(a, raw_a);
+    hw.inferWithRaw(b, raw_b);
+    EXPECT_NE(raw_a, raw_b);
 }
 
 TEST(HwNeuralNetwork, TrainingMovesTowardTarget)
@@ -271,6 +282,235 @@ TEST(HwNeuralNetwork, InferBatchFlatHandlesEmptyBatch)
     std::vector<double> outputs{1.0, 2.0};
     hw.inferBatchFlat({}, 6, 0, outputs);
     EXPECT_TRUE(outputs.empty());
+}
+
+/** A random network up to 10 x 10 and @p count inputs for it. */
+struct RandomCase
+{
+    Topology topology;
+    std::vector<double> weights;
+    std::vector<double> flat; //!< Input vectors, back to back.
+
+    std::span<const double>
+    input(std::size_t i) const
+    {
+        return std::span<const double>(flat).subspan(i * topology.inputs,
+                                                     topology.inputs);
+    }
+};
+
+/**
+ * Draw a case on one side of the saturation bound. In range: weights
+ * and inputs in [-2, 2], where no step can saturate. Near the limit:
+ * weights up to +-kHwWeightLimit and input magnitudes log-uniform up
+ * to 1e5, so inferences fall on both sides of the bound and most
+ * accumulators saturate.
+ */
+RandomCase
+drawCase(Rng &rng, bool near_limit, std::size_t count)
+{
+    RandomCase c;
+    c.topology = Topology{1 + rng.next(10), 1 + rng.next(10)};
+    c.weights.resize(c.topology.hidden * (c.topology.inputs + 1) +
+                     c.topology.hidden + 1);
+    const double limit = near_limit ? kHwWeightLimit : 2.0;
+    for (double &w : c.weights)
+        w = rng.uniform(-limit, limit);
+    c.flat.resize(count * c.topology.inputs);
+    for (double &v : c.flat) {
+        if (near_limit) {
+            const double magnitude = std::pow(10.0, rng.uniform(-6.0, 5.0));
+            v = rng.chance(0.5) ? magnitude : -magnitude;
+        } else {
+            v = rng.uniform(-2.0, 2.0);
+        }
+    }
+    return c;
+}
+
+/**
+ * The per-Neuron reference model of a loaded network: evaluate() for
+ * each hidden neuron, weightedSum() plus the table for the output
+ * neuron. Returns the activation; @p raw gets the output accumulator.
+ */
+double
+neuronReference(const SigmoidTable &table, const RandomCase &c,
+                std::span<const double> inputs, double &raw)
+{
+    const NeuronConfig config = defaultHw().neuron;
+    const std::span<const double> weights(c.weights);
+    const std::size_t stride = c.topology.inputs + 1;
+    std::vector<HwFixed> x;
+    for (const double v : inputs)
+        x.push_back(HwFixed::fromDouble(v));
+    std::vector<HwFixed> hidden;
+    for (std::size_t k = 0; k < c.topology.hidden; ++k) {
+        Neuron neuron(config, table);
+        neuron.setWeights(weights.subspan(k * stride, stride));
+        hidden.push_back(neuron.evaluate(x));
+    }
+    Neuron output(config, table);
+    output.setWeights(weights.subspan(c.topology.hidden * stride));
+    const HwFixed acc = output.weightedSum(hidden);
+    raw = acc.toDouble();
+    return table.lookup(acc).toDouble();
+}
+
+/**
+ * Check infer, inferWithRaw and inferBatchFlat of @p hw against the
+ * Neuron reference on every input of @p c, adding the number of
+ * saturated output accumulators to @p saturated.
+ */
+void
+expectMatchesNeuronReference(const HwNeuralNetwork &hw, const RandomCase &c,
+                             std::size_t &saturated)
+{
+    const SigmoidTable table;
+    const std::size_t count = c.flat.size() / c.topology.inputs;
+    std::vector<double> batch;
+    hw.inferBatchFlat(c.flat, c.topology.inputs, count, batch);
+    ASSERT_EQ(batch.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+        double expected_raw = 0.0;
+        const double expected =
+            neuronReference(table, c, c.input(i), expected_raw);
+        double raw = 0.0;
+        ASSERT_EQ(hw.inferWithRaw(c.input(i), raw), expected) << "item " << i;
+        ASSERT_EQ(raw, expected_raw) << "item " << i;
+        ASSERT_EQ(hw.infer(c.input(i)), expected) << "item " << i;
+        ASSERT_EQ(batch[i], expected) << "item " << i;
+        // A saturated accumulator holds INT32_MIN or INT32_MAX, i.e.
+        // -32768 or just under +32768.
+        if (std::abs(expected_raw) >= kHwWeightLimit)
+            ++saturated;
+    }
+}
+
+TEST(HwNeuralNetwork, EveryEntryPointMatchesTheNeuronReference)
+{
+    constexpr std::size_t kCount = 200;
+    for (const bool near_limit : {false, true}) {
+        std::size_t saturated = 0;
+        for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+            Rng rng(hashCombine(near_limit ? 0x11a1ULL : 0x1a7eULL, seed));
+            const RandomCase c = drawCase(rng, near_limit, kCount);
+            HwNeuralNetwork hw(defaultHw(), c.topology);
+            hw.loadWeights(c.weights);
+            ASSERT_NO_FATAL_FAILURE(
+                expectMatchesNeuronReference(hw, c, saturated))
+                << "near_limit " << near_limit << " seed " << seed;
+        }
+        // The near-limit regime must really exercise the saturating
+        // loop (28% of its outputs saturate); the in-range one never.
+        const std::size_t outputs = 40 * kCount;
+        if (near_limit)
+            EXPECT_GE(saturated, outputs / 4);
+        else
+            EXPECT_EQ(saturated, 0u);
+    }
+}
+
+TEST(HwNeuralNetwork, SaturationBoundHoldsAtItsEdge)
+{
+    // One hidden neuron with bias -(INT32_MAX - 15004) and three
+    // weights of 4001 raw units, fed -1.25 on every input. Each exact
+    // product is 5001.25 units, so bias plus products sit 0.25 inside
+    // the int32 range, but floor() rounds each product down to -5002
+    // and the sum lands one past INT32_MIN. Only the bound's +n term
+    // sends this input to the saturating loop. The registers are
+    // written one at a time, so setWeightAt must refresh the bound.
+    const double lsb = 1.0 / HwFixed::kScale;
+    const double w = 4001 * lsb;
+    RandomCase c;
+    c.topology = Topology{3, 1};
+    c.weights = {-(std::numeric_limits<std::int32_t>::max() - 15004) * lsb,
+                 w, w, w, 0.0, 1.0};
+    c.flat = {-1.25, -1.25, -1.25};
+    HwNeuralNetwork hw(defaultHw(), c.topology);
+    for (std::size_t i = 0; i < c.weights.size(); ++i)
+        hw.setWeightAt(i, c.weights[i]);
+    std::size_t saturated = 0;
+    expectMatchesNeuronReference(hw, c, saturated);
+}
+
+TEST(HwNeuralNetwork, GoldenRunAcrossTheSaturationBound)
+{
+    // Pins inference and train() bit for bit on both sides of the
+    // saturation bound, where the Neuron reference does not reach
+    // train(). The constant was computed with the saturating loop
+    // alone, before the unclamped int64 path existed.
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix_double = [&h](double v) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        h = hashCombine(h, bits);
+    };
+    constexpr std::size_t kCount = 100;
+    for (const bool near_limit : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+            Rng rng(hashCombine(near_limit ? 0x601dULL : 0x600dULL, seed));
+            const RandomCase c = drawCase(rng, near_limit, kCount);
+            HwNeuralNetwork hw(defaultHw(), c.topology);
+            hw.loadWeights(c.weights);
+            for (std::size_t i = 0; i < kCount; ++i) {
+                double raw = 0.0;
+                mix_double(hw.inferWithRaw(c.input(i), raw));
+                mix_double(raw);
+            }
+            for (int step = 0; step < 200; ++step) {
+                const std::size_t i = rng.next(kCount);
+                const double target = rng.chance(0.5) ? 1.0 : 0.0;
+                mix_double(
+                    hw.train(c.input(i), target, rng.uniform(0.01, 0.5)));
+            }
+            for (const double w : hw.storeWeights())
+                mix_double(w);
+        }
+    }
+    EXPECT_EQ(h, 0x93196e1360c300bfULL);
+}
+
+TEST(HwNeuralNetwork, ConstInferenceIsThreadSafe)
+{
+    // CI runs this under TSan, which reports any per-pass scratch state
+    // the const entry points share between threads.
+    constexpr std::size_t kCount = 256;
+    constexpr std::size_t kThreads = 4;
+    Rng rng(0x7ead);
+    const RandomCase c = drawCase(rng, false, kCount);
+    HwNeuralNetwork loaded(defaultHw(), c.topology);
+    loaded.loadWeights(c.weights);
+    const HwNeuralNetwork &hw = loaded;
+
+    struct Pass
+    {
+        std::vector<double> batch;
+        std::vector<double> outputs = std::vector<double>(kCount);
+        std::vector<double> raws = std::vector<double>(kCount);
+    };
+    const auto run = [&hw, &c](Pass &pass) {
+        hw.inferBatchFlat(c.flat, c.topology.inputs, kCount, pass.batch);
+        for (std::size_t i = 0; i < kCount; ++i)
+            pass.outputs[i] = hw.inferWithRaw(c.input(i), pass.raws[i]);
+    };
+    Pass serial;
+    run(serial);
+
+    std::vector<Pass> passes(kThreads);
+    std::vector<std::thread> threads;
+    for (Pass &pass : passes) {
+        threads.emplace_back([&run, &pass] {
+            for (int round = 0; round < 20; ++round)
+                run(pass);
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (const Pass &pass : passes) {
+        EXPECT_EQ(pass.batch, serial.batch);
+        EXPECT_EQ(pass.outputs, serial.outputs);
+        EXPECT_EQ(pass.raws, serial.raws);
+    }
 }
 
 } // namespace

@@ -6,12 +6,15 @@
  * tables, ring buffers, flat weight registers, block trace decode) is
  * only admissible if it is invisible in the science: the smoke campaign
  * — the miniature of the fig7a/table4/table5 experiments — must emit a
- * byte-identical JSON report run over run and at any parallelism. The
+ * byte-identical JSON report run over run, at any parallelism, and
+ * across optimisations (a pinned hash of the report). The
  * campaign-level check subsumes every layer at once; a single flipped
  * bit anywhere in the pipeline shows up as a report diff here.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "runner/campaign.hh"
 #include "runner/report.hh"
@@ -55,6 +58,15 @@ TEST(GoldenDeterminism, SmokeCampaignByteIdenticalAcrossRunsAndJobs)
     // Parallelism: job scheduling must not leak into results.
     const std::string wide = runSmoke(4);
     ASSERT_EQ(serial_a, wide);
+
+    // Across changes: the report is pinned byte for byte. Any change
+    // that moves a number must say so and update the constant.
+    std::uint64_t fnv1a = 0xcbf29ce484222325ULL;
+    for (const char c : serial_a) {
+        fnv1a ^= static_cast<unsigned char>(c);
+        fnv1a *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(fnv1a, 0x613034427bf9bf48ULL);
 
     // The report must be substantial enough to actually pin the
     // pipeline — a trivially empty report would pass the equalities.
