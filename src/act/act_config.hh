@@ -18,78 +18,20 @@ namespace act
 {
 
 /**
- * Per-thread ensemble of member networks (Adaptivity 2.0).
+ * Per-thread ensemble of member networks.
  *
- * members = 1 — the default — is the paper's single-MLP module and is
- * bit-identical to the pre-ensemble code path. With K > 1 members the
- * module holds K independent weight sets over the same topology and a
- * dependence is logged as suspect only when at least `quorum` members
- * predict invalid; per-member disagreement feeds the arena's health
- * score. The hardware budget still applies: the K members share the
- * M-neuron bank, so members x hidden must fit within hw.neuron
- * fan-in (checked by validateActConfig).
+ * members = 1 — the default — is the paper's single-MLP module. With
+ * K > 1 members the module holds K independent weight sets over the
+ * same topology and a dependence is logged as suspect only when a
+ * majority (K / 2 + 1) of the members predict invalid. The hardware
+ * budget still applies: the K members share the M-neuron bank, so
+ * members x hidden must fit within hw.neuron fan-in (checked by
+ * validateActConfig).
  */
 struct EnsembleConfig
 {
-    /** Member networks (K). 1 = dormant single-network module. */
+    /** Member networks (K). 1 = the paper's single-network module. */
     std::size_t members = 1;
-
-    /** Invalid votes needed to flag a sequence; 0 = majority. */
-    std::size_t quorum = 0;
-
-    /** EWMA factor of the per-prediction agreement health score. */
-    double health_beta = 0.05;
-
-    /** Effective quorum for @p members voters. */
-    std::size_t
-    effectiveQuorum(std::size_t voters) const
-    {
-        if (quorum > 0 && quorum <= voters)
-            return quorum;
-        return voters / 2 + 1;
-    }
-};
-
-/**
- * The mode-switch policy. The default (self_tuning = false) is the
- * paper's raw latch: one misprediction-rate sample per interval
- * compared against the single 5% threshold — bit-identical to the
- * historical onDependence behaviour. Self-tuning mode replaces the
- * latch with EWMA tracking plus hysteresis (separate enter/exit
- * thresholds) and a minimum-dwell interval count to kill
- * mode-flapping, and can grow/shrink the hidden layer against the
- * hardware budget when the EWMA stays poor (dynamic_topology).
- */
-struct ModeControllerConfig
-{
-    bool self_tuning = false;
-
-    /** EWMA smoothing factor in (0, 1]; 1 = raw interval rate. */
-    double ewma_alpha = 0.3;
-
-    /** EWMA above this enters training mode. */
-    double enter_training = 0.08;
-
-    /** EWMA at or below this returns to testing (must be <= enter). */
-    double exit_training = 0.03;
-
-    /** Completed intervals a mode must dwell before switching again. */
-    std::uint64_t min_dwell_intervals = 3;
-
-    // --- Dynamic topology selection -------------------------------
-    bool dynamic_topology = false;
-
-    /** Poor-EWMA training intervals before growing the hidden layer. */
-    std::uint64_t grow_patience = 4;
-
-    /** Calm-EWMA testing intervals before shrinking it. */
-    std::uint64_t shrink_patience = 16;
-
-    /** EWMA below this counts as calm (shrink candidate). */
-    double shrink_below = 0.005;
-
-    /** Hidden-layer floor the controller never shrinks past. */
-    std::size_t min_hidden = 4;
 };
 
 /**
@@ -144,9 +86,6 @@ struct ActConfig
 
     /** Per-thread ensemble parameters (members = 1 is dormant). */
     EnsembleConfig ensemble;
-
-    /** Mode-switch policy (legacy latch by default). */
-    ModeControllerConfig controller;
 
     /**
      * Fault-injection decision points (resilience experiments only).

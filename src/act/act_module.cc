@@ -47,9 +47,7 @@ ActModule::weightsUsable(std::span<const double> weights) const
     // loadWeights() quantises through an int32 cast, so NaN/Inf or
     // out-of-range values (e.g. from an injected bit flip in the
     // store) would be undefined behaviour — they must be rejected
-    // before they reach the network. Validation runs against the
-    // network's current topology, which only diverges from the
-    // configured one after a dynamic-topology resize.
+    // before they reach the network.
     return clean(validateWeights(network_.topology(), weights));
 }
 
@@ -101,13 +99,6 @@ ActModule::initThread(ThreadId tid, const WeightStore &store)
         seen->second >= kQuarantineEscalationThreshold;
 
     auto weights = distrusted ? std::nullopt : store.get(tid);
-    if (weights && network_.topology().hidden != config_.topology.hidden &&
-        weights->size() != network_.weightCount()) {
-        // After a dynamic-topology resize the binary's stored sets no
-        // longer fit the network; that is a size change, not
-        // corruption, so fall back to training without quarantining.
-        weights.reset();
-    }
     if (weights && config_.protector &&
         config_.protector->inspect(weightSetId(tid, 0), *weights)) {
         ++arena.stats.repaired_weight_sets;
@@ -255,55 +246,60 @@ ActModule::switchMode(ActMode next)
     arena_->rate.resetInterval();
 }
 
-void
-ActModule::resizeHidden(std::size_t hidden)
+// The stage and commit steps below are the inner loop of every
+// monitored load; they are forced inline so that sharing them between
+// the one-shot and the split-phase paths costs no call.
+
+[[gnu::always_inline]] inline bool
+ActModule::stageSequence(ActArena &arena, const RawDependence &dep)
 {
-    const std::size_t before = network_.topology().hidden;
-    if (hidden == before || hidden == 0)
-        return;
-    const Topology next{config_.topology.inputs, hidden};
-    network_.setTopology(next); // zeroes the weights
-    for (HwNeuralNetwork &extra : extras_)
-        extra.setTopology(next);
-    if (hidden > before)
-        ++arena_->stats.topology_grows;
-    else
-        ++arena_->stats.topology_shrinks;
-    telemetry::SpanTracer::global().instant(
-        "topology_resize", "act",
-        {telemetry::arg("hidden", std::uint64_t{hidden})});
-    logWarnEvent("act.topology_resize",
-                 {logField("from", std::uint64_t{before}),
-                  logField("to", std::uint64_t{hidden})});
-    // Fresh zero weights classify everything as (barely) valid; the
-    // module must retrain at the new size before testing again.
-    if (arena_->mode != ActMode::kTraining)
-        switchMode(ActMode::kTraining);
-    else
-        arena_->rate.resetInterval();
+    ++arena.stats.dependences;
+    if (arena.mode == ActMode::kTraining)
+        ++arena.stats.training_dependences;
+
+    if (config_.faults && config_.faults->dropInputDependence()) {
+        // Injected Input Generator fault: the dependence never reaches
+        // the buffer, as if the hardware write port glitched.
+        ++arena.stats.input_drops_injected;
+        return false;
+    }
+    if (arena.input.push(dep))
+        ++arena.stats.input_buffer_overwrites;
+    if (!arena.input.lastSequence(config_.sequence_length,
+                                  arena.seq_scratch))
+        return false;
+    encoder_->encodeSequenceInto(arena.seq_scratch, arena.input_scratch);
+    return true;
 }
 
-void
-ActModule::onIntervalComplete()
+[[gnu::always_inline]] inline void
+ActModule::commitSequence(ActArena &arena, bool flagged, double raw,
+                          const DependenceSequence &sequence, ThreadId tid)
 {
-    ActArena &arena = *arena_;
-    // Members share the M-neuron hardware bank, so the growth ceiling
-    // is the per-member slice of it, not the whole bank.
-    const std::size_t max_hidden =
-        config_.hw.neuron.max_inputs / memberCount();
-    const ModeDecision decision = modeControllerStep(
-        config_.controller, config_.misprediction_threshold, arena.ctl,
-        arena.mode == ActMode::kTraining, arena.rate.lastRate(),
-        network_.topology().hidden, max_hidden);
-    if (decision.dwell_suppressed)
-        ++arena.stats.dwell_suppressed_switches;
-    if (decision.switch_mode) {
-        switchMode(arena.mode == ActMode::kTesting ? ActMode::kTraining
-                                                   : ActMode::kTesting);
-    } else if (decision.grow) {
-        resizeHidden(network_.topology().hidden + 1);
-    } else if (decision.shrink) {
-        resizeHidden(network_.topology().hidden - 1);
+    ++arena.stats.predictions;
+    if (flagged) {
+        ++arena.stats.predicted_invalid;
+        if (config_.faults && config_.faults->dropDebugLog()) {
+            // Injected Debug Buffer fault: the flagged sequence is
+            // silently lost before it can be logged.
+            ++arena.stats.debug_drops_injected;
+        } else if (arena.debug.log(DebugEntry{sequence, raw,
+                                              arena.stats.predictions,
+                                              tid})) {
+            ++arena.stats.debug_buffer_overwrites;
+        }
+    }
+
+    // The paper's mode latch (Section III-C): a prediction of "invalid"
+    // that the execution survives counts as a misprediction, and each
+    // completed interval compares its rate against the one threshold.
+    // Testing switches to training above it; training returns to
+    // testing at or below it.
+    if (arena.rate.record(flagged)) {
+        const bool over =
+            arena.rate.lastRate() > config_.misprediction_threshold;
+        if (over != (arena.mode == ActMode::kTraining))
+            switchMode(over ? ActMode::kTraining : ActMode::kTesting);
     }
 }
 
@@ -313,22 +309,8 @@ ActModule::onDependence(const RawDependence &dep, ThreadId tid,
 {
     ActOutcome outcome;
     ActArena &arena = *arena_;
-    ++arena.stats.dependences;
-    if (arena.mode == ActMode::kTraining)
-        ++arena.stats.training_dependences;
-
-    if (config_.faults && config_.faults->dropInputDependence()) {
-        // Injected Input Generator fault: the dependence never reaches
-        // the buffer, as if the hardware write port glitched.
-        ++arena.stats.input_drops_injected;
+    if (!stageSequence(arena, dep))
         return outcome;
-    }
-    if (arena.input.push(dep))
-        ++arena.stats.input_buffer_overwrites;
-    if (!arena.input.lastSequence(config_.sequence_length,
-                                  arena.seq_scratch))
-        return outcome;
-    const DependenceSequence &sequence = arena.seq_scratch;
 
     // Timing: the load retires only once the input FIFO accepts the
     // sequence. A full FIFO stalls it (Section III-C / IV-A). The
@@ -348,128 +330,63 @@ ActModule::onDependence(const RawDependence &dep, ThreadId tid,
         now = accepted.retry_at;
     }
 
-    // Function: classify the sequence (and learn from it in training
-    // mode).
-    encoder_->encodeSequenceInto(sequence, arena.input_scratch);
+    // Function: every member classifies the sequence. In training mode
+    // all dependences are presumed valid, so each member learns the
+    // ones it would have rejected. The suspect flag is the members'
+    // majority vote; member 0's output is the one reported.
     const std::vector<double> &inputs = arena.input_scratch;
-    outcome.classified = true;
-    ++arena.stats.predictions;
-
-    double output = 0.0;
     double raw = 0.0;
-    if (extras_.empty()) {
+    outcome.classified = true;
+    outcome.output = training ? network_.infer(inputs)
+                              : network_.inferWithRaw(inputs, raw);
+    std::size_t votes = 0;
+    if (outcome.output < 0.5) {
+        ++votes;
         if (training) {
-            // All dependences are presumed valid; the network learns
-            // the ones it would have rejected.
-            output = network_.infer(inputs);
-            if (output < 0.5) {
-                network_.train(inputs, 1.0, config_.learning_rate);
-                ++arena.stats.train_updates;
-            }
-        } else {
-            output = network_.inferWithRaw(inputs, raw);
-        }
-        outcome.predicted_invalid = output < 0.5;
-    } else {
-        // Ensemble: every member classifies (and, in training mode,
-        // learns) independently; the suspect flag is the quorum vote.
-        std::size_t votes = 0;
-        if (training) {
-            output = network_.infer(inputs);
-            if (output < 0.5) {
-                ++votes;
-                network_.train(inputs, 1.0, config_.learning_rate);
-                ++arena.stats.train_updates;
-            }
-            for (HwNeuralNetwork &extra : extras_) {
-                if (extra.infer(inputs) < 0.5) {
-                    ++votes;
-                    extra.train(inputs, 1.0, config_.learning_rate);
-                    ++arena.stats.train_updates;
-                }
-            }
-        } else {
-            output = network_.inferWithRaw(inputs, raw);
-            if (output < 0.5)
-                ++votes;
-            for (const HwNeuralNetwork &extra : extras_) {
-                if (extra.infer(inputs) < 0.5)
-                    ++votes;
-            }
-        }
-        outcome.predicted_invalid = votes >= quorum();
-        accountVotes(arena, votes, output < 0.5,
-                     outcome.predicted_invalid);
-    }
-    outcome.output = output;
-
-    if (outcome.predicted_invalid) {
-        ++arena.stats.predicted_invalid;
-        // The Debug Buffer records the raw accumulator value: the
-        // ranking tie-break wants "the most negative output", which
-        // the saturated sigmoid cannot resolve. In training mode the
-        // weights just moved, so the raw value is re-read from the
-        // updated network (matching what the hardware would log after
-        // the back-propagation pass); in testing mode the forward pass
-        // already produced it.
-        if (config_.faults && config_.faults->dropDebugLog()) {
-            // Injected Debug Buffer fault: the flagged sequence is
-            // silently lost before it can be logged.
-            ++arena.stats.debug_drops_injected;
-        } else {
-            if (training)
-                network_.inferWithRaw(inputs, raw);
-            if (arena.debug.log(DebugEntry{sequence, raw,
-                                           arena.stats.predictions, tid}))
-                ++arena.stats.debug_buffer_overwrites;
+            network_.train(inputs, 1.0, config_.learning_rate);
+            ++arena.stats.train_updates;
         }
     }
+    for (HwNeuralNetwork &extra : extras_) {
+        if (extra.infer(inputs) < 0.5) {
+            ++votes;
+            if (training) {
+                extra.train(inputs, 1.0, config_.learning_rate);
+                ++arena.stats.train_updates;
+            }
+        }
+    }
+    outcome.predicted_invalid = votes >= quorum();
+    if (!extras_.empty()) {
+        if (votes != 0 && votes != memberCount())
+            ++arena.stats.ensemble_disagreements;
+        if ((outcome.output < 0.5) != outcome.predicted_invalid)
+            ++arena.stats.quorum_overrides;
+    }
 
-    // Periodic misprediction-rate check drives the mode switches. A
-    // prediction of "invalid" that the execution survives counts as a
-    // misprediction (Section III-C).
-    if (arena.rate.record(outcome.predicted_invalid))
-        onIntervalComplete();
+    // The Debug Buffer records member 0's raw accumulator value: the
+    // ranking tie-break wants "the most negative output", which the
+    // saturated sigmoid cannot resolve. In training mode the weights
+    // just moved, so a flagged sequence's raw value is re-read from the
+    // updated network (what the hardware would log after the
+    // back-propagation pass); in testing mode the forward pass already
+    // produced it.
+    if (training && outcome.predicted_invalid)
+        network_.inferWithRaw(inputs, raw);
+    commitSequence(arena, outcome.predicted_invalid, raw, arena.seq_scratch,
+                   tid);
     return outcome;
-}
-
-void
-ActModule::accountVotes(ActArena &arena, std::size_t votes,
-                        bool member0_invalid, bool flagged)
-{
-    const std::size_t members = memberCount();
-    const bool unanimous = votes == 0 || votes == members;
-    if (!unanimous)
-        ++arena.stats.ensemble_disagreements;
-    if (member0_invalid != flagged)
-        ++arena.stats.quorum_overrides;
-    const double beta = config_.ensemble.health_beta;
-    arena.ensemble_health = (1.0 - beta) * arena.ensemble_health +
-                            beta * (unanimous ? 1.0 : 0.0);
 }
 
 bool
 ActModule::stageDependence(const RawDependence &dep)
 {
-    ActArena &arena = *arena_;
     // The split-phase path has no training half: commits never touch
     // the weight registers, which is what lets many arenas share one
     // engine. Callers keep the module in testing mode by construction
     // (the fleet pins the rate interval unreachably long).
-    ACT_ASSERT(arena.mode == ActMode::kTesting);
-    ++arena.stats.dependences;
-
-    if (config_.faults && config_.faults->dropInputDependence()) {
-        ++arena.stats.input_drops_injected;
-        return false;
-    }
-    if (arena.input.push(dep))
-        ++arena.stats.input_buffer_overwrites;
-    if (!arena.input.lastSequence(config_.sequence_length,
-                                  arena.seq_scratch))
-        return false;
-    encoder_->encodeSequenceInto(arena.seq_scratch, arena.input_scratch);
-    return true;
+    ACT_ASSERT(arena_->mode == ActMode::kTesting);
+    return stageSequence(*arena_, dep);
 }
 
 StagedOutcome
@@ -477,69 +394,18 @@ ActModule::commitPrediction(const DependenceSequence &sequence,
                             std::span<const double> inputs, double output,
                             ThreadId tid)
 {
-    ActArena &arena = *arena_;
-    ACT_ASSERT(arena.mode == ActMode::kTesting);
+    ACT_ASSERT(arena_->mode == ActMode::kTesting);
+    ACT_ASSERT(extras_.empty());
     StagedOutcome outcome;
-    ++arena.stats.predictions;
     outcome.predicted_invalid = output < 0.5;
-
-    if (outcome.predicted_invalid) {
-        ++arena.stats.predicted_invalid;
-        // Flagged sequences are rare (the whole premise of the Debug
-        // Buffer), so the raw accumulator re-read — a pure forward
-        // pass over the same weights the batch inference used — stays
-        // off the common path.
+    // Flagged sequences are rare (the whole premise of the Debug
+    // Buffer), so the raw accumulator re-read — a pure forward pass
+    // over the same weights the batch inference used — stays off the
+    // common path.
+    if (outcome.predicted_invalid)
         network_.inferWithRaw(inputs, outcome.raw);
-        if (config_.faults && config_.faults->dropDebugLog()) {
-            ++arena.stats.debug_drops_injected;
-        } else if (arena.debug.log(DebugEntry{sequence, outcome.raw,
-                                              arena.stats.predictions,
-                                              tid})) {
-            ++arena.stats.debug_buffer_overwrites;
-        }
-    }
-
-    if (arena.rate.record(outcome.predicted_invalid))
-        onIntervalComplete();
-    return outcome;
-}
-
-StagedOutcome
-ActModule::commitEnsemble(const DependenceSequence &sequence,
-                          std::span<const double> inputs,
-                          std::span<const double> outputs, ThreadId tid)
-{
-    ACT_ASSERT(outputs.size() == memberCount());
-    if (extras_.empty())
-        return commitPrediction(sequence, inputs, outputs[0], tid);
-
-    ActArena &arena = *arena_;
-    ACT_ASSERT(arena.mode == ActMode::kTesting);
-    StagedOutcome outcome;
-    ++arena.stats.predictions;
-    std::size_t votes = 0;
-    for (const double output : outputs) {
-        if (output < 0.5)
-            ++votes;
-    }
-    outcome.predicted_invalid = votes >= quorum();
-    accountVotes(arena, votes, outputs[0] < 0.5,
-                 outcome.predicted_invalid);
-
-    if (outcome.predicted_invalid) {
-        ++arena.stats.predicted_invalid;
-        network_.inferWithRaw(inputs, outcome.raw);
-        if (config_.faults && config_.faults->dropDebugLog()) {
-            ++arena.stats.debug_drops_injected;
-        } else if (arena.debug.log(DebugEntry{sequence, outcome.raw,
-                                              arena.stats.predictions,
-                                              tid})) {
-            ++arena.stats.debug_buffer_overwrites;
-        }
-    }
-
-    if (arena.rate.record(outcome.predicted_invalid))
-        onIntervalComplete();
+    commitSequence(*arena_, outcome.predicted_invalid, outcome.raw,
+                   sequence, tid);
     return outcome;
 }
 

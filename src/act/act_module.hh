@@ -40,7 +40,6 @@
 
 #include "act/act_config.hh"
 #include "act/buffers.hh"
-#include "act/mode_controller.hh"
 #include "act/weight_store.hh"
 #include "common/stats.hh"
 #include "deps/encoder.hh"
@@ -78,16 +77,13 @@ struct ActModuleStats
     std::uint64_t debug_drops_injected = 0;    //!< Faulted-away log entries.
     std::uint64_t quarantined_weight_sets = 0; //!< Corrupt sets rejected.
 
-    // Adaptivity 2.0 accounting. All of these stay zero on a dormant
-    // module (single member, legacy latch, no protector): the
-    // ensemble/controller/protection machinery never touches them.
+    // Adaptivity accounting. All of these stay zero on a dormant
+    // module (single member, no protector) that no fault reaches: the
+    // ensemble/protection machinery never touches them.
     std::uint64_t quorum_overrides = 0;     //!< Votes flipping member 0.
     std::uint64_t ensemble_disagreements = 0; //!< Split member votes.
     std::uint64_t repaired_weight_sets = 0; //!< Shadow-copy repairs.
     std::uint64_t quarantine_escalations = 0; //!< Distrusted tids.
-    std::uint64_t dwell_suppressed_switches = 0; //!< Flaps absorbed.
-    std::uint64_t topology_grows = 0;       //!< Hidden neurons added.
-    std::uint64_t topology_shrinks = 0;     //!< Hidden neurons removed.
 };
 
 /**
@@ -110,15 +106,6 @@ struct ActArena
     IntervalRate rate;
     ActMode mode = ActMode::kTesting;
     ActModuleStats stats;
-
-    /** Self-tuning controller state (untouched under the legacy latch). */
-    ModeControllerState ctl;
-
-    /**
-     * Ensemble health: EWMA of per-prediction member agreement, 1 =
-     * unanimous always. Only updated with more than one member.
-     */
-    double ensemble_health = 1.0;
 
     /**
      * Quarantine escalation (per run): how often each tid's stored
@@ -181,22 +168,8 @@ class ActModule
     /** Member networks (1 = dormant single-network module). */
     std::size_t memberCount() const { return 1 + extras_.size(); }
 
-    /** Member @p m's network (member 0 is the primary). */
-    const HwNeuralNetwork &
-    member(std::size_t m) const
-    {
-        return m == 0 ? network_ : extras_[m - 1];
-    }
-
-    /** Invalid votes needed to flag a sequence. */
-    std::size_t
-    quorum() const
-    {
-        return config_.ensemble.effectiveQuorum(memberCount());
-    }
-
-    /** Agreement health of the bound arena (1 = always unanimous). */
-    double ensembleHealth() const { return arena_->ensemble_health; }
+    /** Invalid votes needed to flag a sequence: the majority. */
+    std::size_t quorum() const { return memberCount() / 2 + 1; }
 
     // --- Arena management -----------------------------------------
 
@@ -242,9 +215,9 @@ class ActModule
     /**
      * Write the current weights back into @p store for @p tid (thread
      * exit, Section IV-C): member 0 into the plain per-thread slot,
-     * ensemble extras into their member slots. Sets whose size no
-     * longer matches the store's topology (after a dynamic-topology
-     * resize) are skipped — the binary cannot be patched with them.
+     * ensemble extras into their member slots. Sets whose size does
+     * not match the store's topology are skipped — the binary cannot
+     * be patched with them.
      */
     void exportWeights(WeightStore &store, ThreadId tid) const;
 
@@ -292,44 +265,38 @@ class ActModule
 
     /**
      * Second half: account a prediction for a previously staged
-     * sequence. @p inputs must be the staged encoding (for the raw
-     * read-back of flagged sequences) and @p output the activation the
-     * batch inference produced for it. Commits for one arena must
-     * arrive in staging order.
+     * sequence of a single-member module. @p inputs must be the staged
+     * encoding (for the raw read-back of flagged sequences) and
+     * @p output the activation the batch inference produced for it.
+     * Commits for one arena must arrive in staging order.
      */
     StagedOutcome commitPrediction(const DependenceSequence &sequence,
                                    std::span<const double> inputs,
                                    double output, ThreadId tid);
 
-    /**
-     * Ensemble variant of commitPrediction: @p outputs carries one
-     * activation per member (member-major, as produced by
-     * inferEnsembleFlat) for the staged sequence. The suspect flag is
-     * the quorum vote; the Debug Buffer raw value still comes from
-     * member 0. With one member this is exactly commitPrediction.
-     */
-    StagedOutcome commitEnsemble(const DependenceSequence &sequence,
-                                 std::span<const double> inputs,
-                                 std::span<const double> outputs,
-                                 ThreadId tid);
-
   private:
     void switchMode(ActMode next);
 
-    /** Run the mode controller on a just-completed interval. */
-    void onIntervalComplete();
+    /**
+     * Stage step shared by onDependence and stageDependence: count the
+     * dependence, push it through the Input Generator Buffer and, once
+     * a full sequence is buffered, read and encode it into the arena
+     * scratch. @return true when a sequence was staged.
+     */
+    inline bool stageSequence(ActArena &arena, const RawDependence &dep);
 
-    /** Reconfigure every member to @p hidden neurons (weights zeroed,
-     *  module forced into training). */
-    void resizeHidden(std::size_t hidden);
+    /**
+     * Commit step shared by onDependence and commitPrediction: count
+     * the prediction, log a @p flagged sequence with its @p raw
+     * accumulator value into the Debug Buffer, and feed the
+     * misprediction-rate interval that drives the mode latch.
+     */
+    inline void commitSequence(ActArena &arena, bool flagged, double raw,
+                               const DependenceSequence &sequence,
+                               ThreadId tid);
 
     /** Quarantine bookkeeping shared by initThread/restoreWeights. */
     void recordQuarantine(ThreadId tid, const char *where);
-
-    /** Ensemble vote accounting: disagreements, quorum overrides and
-     *  the agreement-health EWMA. Only called with extra members. */
-    void accountVotes(ActArena &arena, std::size_t votes,
-                      bool member0_invalid, bool flagged);
 
     /** True when @p weights can be loaded without UB (finite, in the
      *  Q15.16 range, count matching the topology). */

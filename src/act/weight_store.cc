@@ -168,7 +168,13 @@ WeightStore::load(const std::string &path)
         std::fread(&threads, sizeof(threads), 1, file.get()) != 1) {
         return false;
     }
-    topology_ = Topology{inputs, hidden};
+    // The header sizes every entry below, so it is validated before
+    // anything is allocated: a corrupt or hostile header must fail the
+    // load, not request a 2^40-double vector.
+    const Topology topology{inputs, hidden};
+    if (!topology.valid())
+        return false;
+    topology_ = topology;
     weights_.clear();
     members_.clear();
     const std::size_t count = weightCount();

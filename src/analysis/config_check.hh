@@ -159,52 +159,6 @@ validateActConfig(const ActConfig &config, std::size_t encoder_width)
                 " hidden neurons exceed the hardware budget M=" +
                 std::to_string(config.hw.neuron.max_inputs));
     }
-    if (config.ensemble.quorum > config.ensemble.members) {
-        bad("ensemble-quorum",
-            "ensemble.quorum " + std::to_string(config.ensemble.quorum) +
-                " exceeds the member count " +
-                std::to_string(config.ensemble.members));
-    }
-    if (!(config.ensemble.health_beta > 0.0) ||
-        !(config.ensemble.health_beta <= 1.0)) {
-        bad("ensemble",
-            "ensemble.health_beta " +
-                std::to_string(config.ensemble.health_beta) +
-                " outside (0, 1]");
-    }
-    if (config.controller.self_tuning) {
-        if (!(config.controller.ewma_alpha > 0.0) ||
-            !(config.controller.ewma_alpha <= 1.0)) {
-            bad("controller",
-                "controller.ewma_alpha " +
-                    std::to_string(config.controller.ewma_alpha) +
-                    " outside (0, 1]");
-        }
-        if (!(config.controller.enter_training >
-              config.controller.exit_training) ||
-            !(config.controller.exit_training >= 0.0)) {
-            // The hysteresis band must be a real band: entering and
-            // leaving training at the same rate reintroduces flapping.
-            bad("controller",
-                "controller thresholds must satisfy 0 <= exit_training (" +
-                    std::to_string(config.controller.exit_training) +
-                    ") < enter_training (" +
-                    std::to_string(config.controller.enter_training) + ")");
-        }
-        if (config.controller.min_dwell_intervals < 1) {
-            bad("controller",
-                "controller.min_dwell_intervals must be at least 1");
-        }
-    }
-    if (config.controller.dynamic_topology) {
-        if (config.controller.min_hidden < 1)
-            bad("controller", "controller.min_hidden must be at least 1");
-        if (config.controller.grow_patience < 1 ||
-            config.controller.shrink_patience < 1) {
-            bad("controller",
-                "controller grow/shrink patience must be at least 1");
-        }
-    }
     if (config.input_buffer_entries != kInputGeneratorBufferEntries &&
         config.input_buffer_entries >= config.sequence_length) {
         detail::addConfigWarning(

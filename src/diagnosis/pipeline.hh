@@ -65,7 +65,7 @@ struct OfflineTrainingConfig
      * single network the paper describes. With K > 1, members 1..K-1
      * are trained on the same dataset from independent seeds (their
      * own weight initialisation and example order), producing the
-     * diverse-but-agreeing voters the online quorum needs. The online
+     * diverse-but-agreeing voters the online majority vote needs. The online
      * module must be configured with the same member count.
      */
     std::size_t ensemble_members = 1;

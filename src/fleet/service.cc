@@ -101,7 +101,7 @@ checkConfig(const FleetConfig &config)
 
 /** Module configuration of every shard: online testing only. */
 ActConfig
-fleetActConfig(const FleetConfig &fleet)
+fleetActConfig()
 {
     ActConfig config;
     // Pin the module in testing mode: with an unreachable measurement
@@ -109,15 +109,6 @@ fleetActConfig(const FleetConfig &fleet)
     // ever flips to training and the shared weight registers stay
     // frozen — the property that makes arena multiplexing sound.
     config.interval_length = std::numeric_limits<std::uint64_t>::max();
-    if (fleet.ensemble_members > 1) {
-        // K members share the M-neuron bank, so each gets an equal
-        // slice of the hidden layer (validateActConfig enforces the
-        // budget at construction).
-        config.ensemble.members = fleet.ensemble_members;
-        config.ensemble.quorum = fleet.ensemble_quorum;
-        config.topology.hidden = std::max<std::size_t>(
-            1, config.hw.neuron.max_inputs / fleet.ensemble_members);
-    }
     return config;
 }
 
@@ -217,18 +208,12 @@ class ShardWorker
 {
   public:
     explicit ShardWorker(const FleetConfig &config)
-        : config_(config), module_(fleetActConfig(config), PairEncoder{}),
+        : config_(config), module_(fleetActConfig(), PairEncoder{}),
           width_(module_.config().sequence_length * PairEncoder{}.width())
     {
-        // With K members the restore blob is K frozen sets drawn from
-        // the same seeded stream — every shard (and the batch-replay
-        // engine) still derives identical engines from the run seed.
-        module_.restoreWeights(fleetWeights(
-            module_.network().weightCount() * module_.memberCount(),
-            config.seed));
+        module_.restoreWeights(
+            fleetWeights(module_.network().weightCount(), config.seed));
         ACT_ASSERT(module_.mode() == ActMode::kTesting);
-        for (std::size_t m = 0; m < module_.memberCount(); ++m)
-            members_.push_back(&module_.member(m));
         clients_.resize(config.clients);
         flat_.reserve(config.batch_max * width_);
         pending_.reserve(config.batch_max);
@@ -337,14 +322,8 @@ class ShardWorker
     {
         if (pending_.empty())
             return;
-        const std::size_t k = module_.memberCount();
-        if (k == 1) {
-            module_.network().inferBatchFlat(flat_, width_,
-                                             pending_.size(), outputs_);
-        } else {
-            inferEnsembleFlat(members_, flat_, width_, pending_.size(),
-                              outputs_, member_scratch_);
-        }
+        module_.network().inferBatchFlat(flat_, width_, pending_.size(),
+                                         outputs_);
         std::uint64_t flagged = 0;
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -354,14 +333,8 @@ class ShardWorker
                 const auto inputs =
                     std::span<const double>(flat_).subspan(i * width_,
                                                            width_);
-                const StagedOutcome outcome =
-                    k == 1 ? module_.commitPrediction(
-                                 p.sequence, inputs, outputs_[i], p.tid)
-                           : module_.commitEnsemble(
-                                 p.sequence, inputs,
-                                 std::span<const double>(outputs_)
-                                     .subspan(i * k, k),
-                                 p.tid);
+                const StagedOutcome outcome = module_.commitPrediction(
+                    p.sequence, inputs, outputs_[i], p.tid);
                 if (outcome.predicted_invalid) {
                     ++flagged;
                     const RawDependence &last = p.sequence.deps.back();
@@ -384,14 +357,9 @@ class ShardWorker
     std::size_t width_; //!< Doubles per staged input vector.
     std::vector<std::unique_ptr<ClientState>> clients_;
 
-    /** Member networks in member order (size 1 without an ensemble). */
-    std::vector<const HwNeuralNetwork *> members_;
-
     std::vector<double> flat_;      //!< Packed staged input vectors.
     std::vector<Pending> pending_;  //!< Metadata parallel to flat_.
-    std::vector<double> outputs_;   //!< Batch results (item-major,
-                                    //!< member index fastest).
-    std::vector<double> member_scratch_; //!< inferEnsembleFlat scratch.
+    std::vector<double> outputs_;   //!< Batch results, one per item.
 
     mutable std::mutex mutex_;      //!< Guards report_.
     FleetReport report_;

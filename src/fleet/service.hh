@@ -106,21 +106,6 @@ struct FleetConfig
     bool lockset_blocks = false;
 
     FrontEnd front = FrontEnd::kTracker;
-
-    /**
-     * Ensemble members per shard engine (K). 1 — the default — is the
-     * single-network shard, byte-identical to the pre-ensemble
-     * service. With K > 1, each shard holds K frozen weight sets over
-     * a proportionally smaller hidden layer (the members share the
-     * M-neuron budget) and a staged sequence is flagged only on a
-     * quorum of invalid votes. Every shard derives identical member
-     * sets from the run seed, so the shard-count byte-equivalence
-     * contract holds at any K.
-     */
-    std::uint32_t ensemble_members = 1;
-
-    /** Invalid votes needed to flag (0 = majority of members). */
-    std::uint32_t ensemble_quorum = 0;
 };
 
 /** Outcome of one service run. */

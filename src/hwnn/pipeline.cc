@@ -330,27 +330,4 @@ HwNeuralNetwork::flush()
     in_flight_.clear();
 }
 
-void
-inferEnsembleFlat(std::span<const HwNeuralNetwork *const> members,
-                  std::span<const double> flat, std::size_t width,
-                  std::size_t count, std::vector<double> &outputs,
-                  std::vector<double> &scratch)
-{
-    ACT_ASSERT(!members.empty());
-    const std::size_t k = members.size();
-    outputs.clear();
-    if (k == 1) {
-        // Single member: the plain batch pass already produces the
-        // item-major layout — no interleave copy needed.
-        members[0]->inferBatchFlat(flat, width, count, outputs);
-        return;
-    }
-    outputs.resize(count * k);
-    for (std::size_t m = 0; m < k; ++m) {
-        members[m]->inferBatchFlat(flat, width, count, scratch);
-        for (std::size_t i = 0; i < count; ++i)
-            outputs[i * k + m] = scratch[i];
-    }
-}
-
 } // namespace act

@@ -212,21 +212,6 @@ class HwNeuralNetwork
     std::uint64_t rejected_ = 0;
 };
 
-/**
- * Ensemble batch pass: evaluate @p count flat-packed input vectors of
- * @p width doubles against every network in @p members. Outputs are
- * item-major with the member index fastest — activations for item i
- * occupy outputs[i*K .. i*K+K-1] in member order, the exact span
- * ActModule::commitEnsemble consumes. Each member runs its own
- * inferBatchFlat (weights stay hot per member; bit-identical per
- * member to per-element infer()); @p scratch avoids re-allocating the
- * per-member output buffer across flushes.
- */
-void inferEnsembleFlat(std::span<const HwNeuralNetwork *const> members,
-                       std::span<const double> flat, std::size_t width,
-                       std::size_t count, std::vector<double> &outputs,
-                       std::vector<double> &scratch);
-
 } // namespace act
 
 #endif // ACT_HWNN_PIPELINE_HH

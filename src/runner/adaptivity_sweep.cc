@@ -69,8 +69,6 @@ adaptivityOutcomes(const Campaign &campaign,
         outcome.disagreements =
             metric(result, "ensemble_disagreements", 0.0);
         outcome.mode_switches = metric(result, "mode_switches", 0.0);
-        outcome.dwell_suppressed =
-            metric(result, "dwell_suppressed", 0.0);
         outcomes.push_back(std::move(outcome));
     }
     return outcomes;
@@ -86,18 +84,17 @@ adaptivitySweepReport(const Campaign &campaign,
     std::string text;
     text += "table-adaptivity: diagnosis accuracy vs stored-weight "
             "fault rate\n";
-    text += format("%-10s %8s %9s %7s %6s %7s %9s %6s %6s\n", "config",
+    text += format("%-10s %8s %9s %7s %6s %7s %9s %6s\n", "config",
                    "rate", "accuracy", "repair", "quar", "ovr",
-                   "disagree", "modes", "dwell");
+                   "disagree", "modes");
 
     // Per-cell rows, in job id order (configs are contiguous blocks).
     for (const AdaptivityOutcome &o : outcomes) {
         text += format("%-10s %8.3f %9.3f %7.0f %6.0f %7.0f %9.0f "
-                       "%6.0f %6.0f\n",
+                       "%6.0f\n",
                        o.config.c_str(), o.fault_rate, o.accuracy,
                        o.repaired, o.quarantined, o.quorum_overrides,
-                       o.disagreements, o.mode_switches,
-                       o.dwell_suppressed);
+                       o.disagreements, o.mode_switches);
     }
 
     // Per-configuration degradation summary: accuracy lost between the

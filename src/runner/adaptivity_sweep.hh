@@ -36,7 +36,6 @@ struct AdaptivityOutcome
     double quorum_overrides = 0.0;
     double disagreements = 0.0;
     double mode_switches = 0.0;
-    double dwell_suppressed = 0.0;
 };
 
 /** True when @p campaign contains at least one kAdaptivity job. */

@@ -305,15 +305,15 @@ table6CorpusCampaign()
 }
 
 /**
- * table-adaptivity: fault-hardening sweep for the Adaptivity 2.0
- * machinery. Three configurations — baseline (single network, legacy
- * latch), ensemble (K=3 voters over a shared neuron budget with the
- * self-tuning controller) and ensemble+protection (the same plus
- * selective weight shadowing) — each swept over a weight-concentrated
- * bit-flip rate. Knobs mirror the smoke diagnosis cell, so the
- * baseline rate-0 row doubles as the smoke cell's fault-free numbers.
- * The acceptance bar: at the top rates the hardened configuration
- * loses strictly less `accuracy` than the baseline.
+ * table-adaptivity: fault-hardening sweep for the adaptivity
+ * machinery. Three configurations — baseline (single network),
+ * ensemble (K=3 majority voters over a shared neuron budget) and
+ * ensemble+protection (the same plus selective weight shadowing) —
+ * each swept over a weight-concentrated bit-flip rate. Knobs mirror
+ * the smoke diagnosis cell, so the baseline rate-0 row doubles as the
+ * smoke cell's fault-free numbers. The acceptance bar: at the top
+ * rates the hardened configuration loses strictly less `accuracy`
+ * than the baseline.
  */
 Campaign
 tableAdaptivityCampaign()
@@ -327,12 +327,11 @@ tableAdaptivityCampaign()
     {
         std::size_t members;
         bool protect;
-        bool self_tune;
     };
     const Config configs[] = {
-        {1, false, false}, // Baseline: the paper's module, untouched.
-        {3, false, true},  // Quorum voting + self-tuning controller.
-        {3, true, true},   // ... plus selective weight protection.
+        {1, false}, // Baseline: the paper's module, untouched.
+        {3, false}, // Majority voting.
+        {3, true},  // ... plus selective weight protection.
     };
     for (const Config &config : configs) {
         for (const double rate : {0.0, 0.002, 0.01, 0.05}) {
@@ -349,7 +348,6 @@ tableAdaptivityCampaign()
             job.knobs.fault_rate = rate;
             job.knobs.fault_seed = 0xada97;
             job.knobs.ensemble_members = config.members;
-            job.knobs.self_tune = config.self_tune;
             job.knobs.protect_weights = config.protect;
             if (config.members > 1) {
                 // K members share the M = 10 neuron bank: shrink the

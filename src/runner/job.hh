@@ -139,10 +139,8 @@ struct JobKnobs
     // dormant: a diagnose-act cell with these untouched is bit-
     // identical to the pre-adaptivity runner.
     std::size_t ensemble_members = 1;  //!< Member networks (K).
-    std::size_t ensemble_quorum = 0;   //!< Votes to flag (0 = majority).
     bool protect_weights = false;      //!< Selective weight protection.
     double protect_fraction = 0.5;     //!< Fraction of sets shadowed.
-    bool self_tune = false;            //!< Hysteresis mode controller.
     std::size_t hidden_neurons = 0;    //!< Per-member h (0 = default).
 };
 

@@ -245,7 +245,7 @@ runInvalidDeps(const JobSpec &spec, TraceCache &cache, JobResult &result)
  * site runs under the injector's plan; with a null injector (or an
  * all-zero plan) the computation is bit-identical to the fault-free
  * path — the resilience table's rate-0 row depends on this. The
- * adaptivity knobs (ensemble_members, protect_weights, self_tune,
+ * adaptivity knobs (ensemble_members, protect_weights,
  * hidden_neurons) are applied only when set off their dormant
  * defaults, so every pre-existing cell is untouched. @p am_out, when
  * non-null, receives the run's ActModuleStats so a caller can emit
@@ -292,14 +292,8 @@ runDiagnoseActImpl(const JobSpec &spec, TraceCache &cache,
     // shrinks the per-member layer so K members fit the M-neuron bank.
     if (knobs.hidden_neurons > 0)
         setup.training.hidden_neurons = knobs.hidden_neurons;
-    if (knobs.ensemble_members > 1) {
+    if (knobs.ensemble_members > 1)
         setup.training.ensemble_members = knobs.ensemble_members;
-        setup.system.act.ensemble.quorum = knobs.ensemble_quorum;
-    }
-    if (knobs.self_tune) {
-        setup.system.act.controller.self_tuning = true;
-        setup.system.act.controller.dynamic_topology = true;
-    }
     if (knobs.protect_weights) {
         setup.protection.enabled = true;
         setup.protection.protect_fraction = knobs.protect_fraction;
@@ -496,9 +490,9 @@ runResilience(const JobSpec &spec, TraceCache &cache, JobResult &result)
 }
 
 /**
- * table-adaptivity cell: diagnose-act with the ensemble / controller /
+ * table-adaptivity cell: diagnose-act with the ensemble and
  * protection knobs from the spec, under a fault plan that concentrates
- * its whole budget on stored weights — the hazard the tentpole
+ * its whole budget on stored weights — the hazard the adaptivity
  * machinery is built against. Rate 0 passes a *null* injector, so the
  * baseline cell is byte-comparable to a plain fault-free diagnose-act
  * run with the same knobs. The scalar `accuracy` in [0, 1] folds the
@@ -536,8 +530,6 @@ runAdaptivity(const JobSpec &spec, TraceCache &cache, JobResult &result)
         static_cast<double>(am.ensemble_disagreements);
     result.metrics["quarantine_escalations"] =
         static_cast<double>(am.quarantine_escalations);
-    result.metrics["dwell_suppressed"] =
-        static_cast<double>(am.dwell_suppressed_switches);
     result.metrics["mode_switches"] =
         static_cast<double>(am.mode_switches);
 

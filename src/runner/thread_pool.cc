@@ -77,7 +77,13 @@ WorkStealingPool::WorkStealingPool(unsigned threads)
 WorkStealingPool::~WorkStealingPool()
 {
     wait();
-    stop_.store(true);
+    {
+        // Set under the wake mutex: a worker that has just found its
+        // wait predicate false but not yet blocked would otherwise miss
+        // the notify below and sleep for ever, hanging the join.
+        std::lock_guard<std::mutex> lock(wake_mutex_);
+        stop_.store(true);
+    }
     wake_cv_.notify_all();
     for (auto &thread : threads_)
         thread.join();
@@ -102,6 +108,16 @@ WorkStealingPool::submit(Task task)
         std::lock_guard<std::mutex> lock(workers_[target]->mutex);
         workers_[target]->tasks.push_back(std::move(task));
     }
+    wakeOne();
+}
+
+void
+WorkStealingPool::wakeOne()
+{
+    // unclaimed_ was published outside the wake mutex. Notifying under
+    // it means a worker whose predicate check missed the new task is
+    // already waiting, so the wakeup cannot be lost.
+    std::lock_guard<std::mutex> lock(wake_mutex_);
     wake_cv_.notify_one();
 }
 
@@ -126,7 +142,7 @@ WorkStealingPool::trySubmit(Task task, std::size_t max_queue_depth)
         perQueueGauge(target).inc();
         workers_[target]->tasks.push_back(std::move(task));
     }
-    wake_cv_.notify_one();
+    wakeOne();
     return true;
 }
 

@@ -107,6 +107,9 @@ class WorkStealingPool
 
     void workerLoop(unsigned index);
 
+    /** Wake one idle worker after a task was queued. */
+    void wakeOne();
+
     /** Run @p task, absorbing (and recording) anything it throws. */
     void runTask(Task &task);
 

@@ -270,9 +270,6 @@ System::stats() const
         out.act.ensemble_disagreements += s.ensemble_disagreements;
         out.act.repaired_weight_sets += s.repaired_weight_sets;
         out.act.quarantine_escalations += s.quarantine_escalations;
-        out.act.dwell_suppressed_switches += s.dwell_suppressed_switches;
-        out.act.topology_grows += s.topology_grows;
-        out.act.topology_shrinks += s.topology_shrinks;
     }
     return out;
 }

@@ -176,6 +176,40 @@ TEST(ActModule, TrainingLearnsAndReturnsToTesting)
     EXPECT_FALSE(outcome.predicted_invalid);
 }
 
+TEST(ActModule, RateAtTheThresholdKeepsTestingAndEndsTraining)
+{
+    // The paper's latch: testing switches to training only when an
+    // interval's misprediction rate exceeds the threshold, and training
+    // returns to testing when it is at or below it. One flag in 20
+    // predictions is exactly the 5% threshold.
+    ActConfig config = testConfig();
+    config.interval_length = 20;
+    PairEncoder encoder;
+    ActModule module(config, encoder);
+    module.initThread(0, trainedStore());
+    ASSERT_EQ(module.mode(), ActMode::kTesting);
+    Cycle cycle = 0;
+    // One interval whose last @p flags dependences are rejected (last,
+    // so a training step cannot change an earlier verdict).
+    const auto interval = [&](std::uint32_t flags) {
+        for (std::uint32_t i = 0; i < 20; ++i) {
+            const RawDependence dep =
+                i + flags < 20 ? validDep(i % 8) : buggyDep();
+            module.onDependence(dep, 0, cycle += 100);
+        }
+    };
+
+    interval(1);
+    EXPECT_EQ(module.mode(), ActMode::kTesting);
+    EXPECT_EQ(module.stats().mode_switches, 0u);
+    interval(2); // 10%: above the threshold.
+    ASSERT_EQ(module.mode(), ActMode::kTraining);
+    interval(1);
+    EXPECT_EQ(module.mode(), ActMode::kTesting);
+    EXPECT_EQ(module.stats().mode_switches, 2u);
+    EXPECT_EQ(module.stats().predicted_invalid, 4u);
+}
+
 TEST(ActModule, FifoBackpressureStallsLoads)
 {
     ActConfig config = testConfig();

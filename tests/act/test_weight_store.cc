@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "act/weight_store.hh"
 
@@ -78,6 +80,48 @@ TEST(WeightStore, LoadMissingFileFails)
 {
     WeightStore store;
     EXPECT_FALSE(store.load("/nonexistent/weights.bin"));
+}
+
+/**
+ * Write a one-entry store file by hand: the header claims @p inputs x
+ * @p hidden, and the entry (id 0) carries @p doubles zero weights.
+ */
+std::string
+writeStore(const char *name, std::uint64_t inputs, std::uint64_t hidden,
+           std::size_t doubles)
+{
+    const std::string path = std::string(::testing::TempDir()) + name;
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    const std::uint64_t header[4] = {inputs, hidden, 1, 0};
+    std::fwrite(header, sizeof(header), 1, file);
+    for (std::size_t i = 0; i < doubles; ++i) {
+        const double zero = 0.0;
+        std::fwrite(&zero, sizeof(zero), 1, file);
+    }
+    std::fclose(file);
+    return path;
+}
+
+TEST(WeightStore, LoadRejectsAnOversizedHeaderBeforeAllocating)
+{
+    // Sizing an entry from this header would request 2^80 bytes.
+    const std::string path =
+        writeStore("weights_huge.bin", std::uint64_t{1} << 40, 10, 0);
+    WeightStore store(Topology{4, 6});
+    EXPECT_FALSE(store.load(path));
+    EXPECT_EQ(store.topology(), (Topology{4, 6}));
+    std::remove(path.c_str());
+}
+
+TEST(WeightStore, LoadRejectsAnEmptyTopologyHeader)
+{
+    // A 0 x 0 network still has one weight (the output bias), so this
+    // file is complete; only the topology check can reject it.
+    const std::string path = writeStore("weights_empty.bin", 0, 0, 1);
+    WeightStore store(Topology{4, 6});
+    EXPECT_FALSE(store.load(path));
+    EXPECT_EQ(store.topology(), (Topology{4, 6}));
+    std::remove(path.c_str());
 }
 
 TEST(WeightStore, MemberZeroAliasesThePlainSet)

@@ -58,28 +58,6 @@ TEST(FleetService, StreamingMatchesBatchReplayByteForByte)
     EXPECT_EQ(streamed, batch);
 }
 
-TEST(FleetService, EnsembleShardsKeepTheDeterminismContract)
-{
-    // With K = 2 member networks per shard the quorum vote changes
-    // which sequences get flagged, but the determinism contract is
-    // unchanged: shard-count invariance and streaming == batch replay,
-    // byte for byte.
-    FleetConfig config = smallConfig();
-    config.ensemble_members = 2;
-
-    config.shards = 1;
-    const std::string one =
-        runFleetService(config).report.toText(config.top_k);
-    config.shards = 4;
-    const std::string four =
-        runFleetService(config).report.toText(config.top_k);
-    EXPECT_EQ(one, four);
-
-    const std::string batch =
-        replayFleetBatch(config).report.toText(config.top_k);
-    EXPECT_EQ(one, batch);
-}
-
 TEST(FleetService, MemFrontEndIsAlsoShardInvariant)
 {
     FleetConfig config = smallConfig();

@@ -54,7 +54,6 @@ TEST(AdaptivityCampaign, SweepsThreeConfigsAcrossFourRates)
             // The baseline cell is fully dormant: running it with
             // rate 0 must be the plain diagnose-act path.
             EXPECT_FALSE(spec.knobs.protect_weights);
-            EXPECT_FALSE(spec.knobs.self_tune);
             EXPECT_EQ(spec.knobs.hidden_neurons, 0u);
         } else {
             ++ensemble;

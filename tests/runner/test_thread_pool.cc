@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -65,6 +69,10 @@ TEST(WorkStealingPool, UsesMultipleWorkers)
     std::mutex mutex;
     std::set<std::thread::id> seen;
     std::atomic<int> gate{0};
+    const auto distinct = [&] {
+        std::lock_guard<std::mutex> lock(mutex);
+        return seen.size();
+    };
     for (int i = 0; i < 64; ++i) {
         pool.submit([&] {
             {
@@ -73,7 +81,7 @@ TEST(WorkStealingPool, UsesMultipleWorkers)
             }
             // A little real work so tasks overlap in time.
             gate.fetch_add(1);
-            while (gate.load() < 4 && seen.size() < 2)
+            while (gate.load() < 4 && distinct() < 2)
                 std::this_thread::yield();
         });
     }
@@ -107,6 +115,35 @@ TEST(WorkStealingPool, DestructorDrainsOutstandingTasks)
         // No wait(): the destructor must drain before joining.
     }
     EXPECT_EQ(counter.load(), 200);
+}
+
+TEST(WorkStealingPool, DestructorNeverLosesItsStopWakeup)
+{
+    // The destructor's stop notify must reach a worker that is between
+    // its wait-predicate check and its wait; a lost one hangs the join.
+    // The window is narrow, so the cycle repeats many times, on a
+    // helper thread watched against a deadline.
+    constexpr int kCycles = 50000;
+    std::promise<void> done;
+    std::future<void> finished = done.get_future();
+    std::thread cycles([&done] {
+        for (int i = 0; i < kCycles; ++i) {
+            WorkStealingPool pool(2);
+            pool.submit([] {});
+        }
+        done.set_value();
+    });
+    if (finished.wait_for(std::chrono::minutes(5)) !=
+        std::future_status::ready) {
+        // The helper is stuck in a join that never returns, so it can
+        // be neither joined nor destroyed: end the process with the
+        // failure instead of hanging the suite.
+        ADD_FAILURE() << "a pool destructor hung within " << kCycles
+                      << " cycles";
+        std::fflush(stdout);
+        std::_Exit(EXIT_FAILURE);
+    }
+    cycles.join();
 }
 
 TEST(WorkStealingPool, ZeroMeansHardwareConcurrency)

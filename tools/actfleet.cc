@@ -33,11 +33,6 @@
  *   --lint-blocks      batch-lint every ingested block
  *   --lockset-blocks   per-client online lockset race detection; the
  *                      distinct finding count lands in the report
- *   --ensemble K       member networks per shard engine  (default 1);
- *                      members share the hidden-neuron budget, and a
- *                      sequence is flagged only on a quorum of
- *                      invalid votes
- *   --quorum Q         invalid votes needed to flag (0 = majority)
  *
  * Exit status: 0 = ok, 1 = validation mismatch, 2 = usage error.
  */
@@ -70,7 +65,7 @@ usage()
         "  --repeat N --duration SECS --epoch SECS\n"
         "  --backpressure block|shed --block-events N --queue-blocks N\n"
         "  --batch N --top K --front tracker|mem --lint-blocks\n"
-        "  --lockset-blocks --ensemble K --quorum Q\n");
+        "  --lockset-blocks\n");
 }
 
 bool
@@ -140,10 +135,6 @@ parseFlags(int argc, char **argv, FleetConfig &config)
             config.batch_max = u64;
         } else if (arg == "--top" && parseU64(argv[++i], u64)) {
             config.top_k = u64;
-        } else if (arg == "--ensemble" && parseU64(argv[++i], u64)) {
-            config.ensemble_members = static_cast<std::uint32_t>(u64);
-        } else if (arg == "--quorum" && parseU64(argv[++i], u64)) {
-            config.ensemble_quorum = static_cast<std::uint32_t>(u64);
         } else if (arg == "--front") {
             const std::string front = argv[++i];
             if (front == "tracker") {
