@@ -1,16 +1,19 @@
 /**
  * @file
- * Ablation: which adaptivity mechanism pays for itself.
+ * Ablation: what the hidden-layer size and selective weight protection
+ * each buy.
  *
  * The table-adaptivity campaign sweeps one bug (pbzip2) with one fault
  * seed and one failure seed, so a single cell decides each of its
  * numbers. This bench runs the same kAdaptivity job over every Table V
  * bug, three fault seeds, two failure seeds and the campaign's four
- * stored-weight fault rates, for each configuration below, and
- * summarises every configuration over its 66 (bug, fault seed, failure
- * seed) triples:
+ * stored-weight fault rates, for h in {10, 5} with and without
+ * protection, and summarises every configuration over its 66 (bug,
+ * fault seed, failure seed) triples:
  *
  *  - clean accuracy and clean diagnoses, at rate 0;
+ *  - the clean cells' mean root rank over the diagnosed triples, and
+ *    how many of them rank the root first;
  *  - worst-case loss: the clean accuracy minus the lowest accuracy over
  *    the nonzero rates (the campaign's headline), averaged;
  *  - diagnosed at the worst rate: triples still diagnosed in the cell
@@ -40,19 +43,15 @@ using bench::format;
 struct Config
 {
     const char *name;
-    std::size_t members;
-    std::size_t hidden; //!< Per-member h; 0 = the default 10.
+    std::size_t hidden; //!< h; 0 = the default 10.
     bool protect;
 };
 
 constexpr std::array kConfigs = {
-    Config{"K=1 h=10", 1, 0, false},
-    Config{"K=1 h=10 +prot", 1, 0, true},
-    Config{"K=3 h=3", 3, 3, false},
-    Config{"K=3 h=3 +prot", 3, 3, true},
-    Config{"K=1 h=5 +prot", 1, 5, true},
-    Config{"K=2 h=5", 2, 5, false},
-    Config{"K=2 h=5 +prot", 2, 5, true},
+    Config{"K=1 h=10", 0, false},
+    Config{"K=1 h=10 +prot", 0, true},
+    Config{"K=1 h=5", 5, false},
+    Config{"K=1 h=5 +prot", 5, true},
 };
 constexpr std::array<std::uint64_t, 3> kFaultSeeds = {0xada97, 2, 3};
 constexpr std::array<std::uint64_t, 2> kFailureSeeds = {999, 1234};
@@ -62,8 +61,8 @@ void
 run()
 {
     bench::banner("Ablation: adaptivity mechanisms",
-                  "no paper table (ensemble and weight protection vs the "
-                  "paper's single network)");
+                  "no paper table (hidden-layer size and weight "
+                  "protection vs the paper's network)");
 
     Campaign campaign;
     campaign.name = "ablation-adaptivity";
@@ -88,7 +87,6 @@ run()
                         job.knobs.failure_seed = failure_seed;
                         job.knobs.fault_seed = fault_seed;
                         job.knobs.fault_rate = rate;
-                        job.knobs.ensemble_members = config.members;
                         job.knobs.hidden_neurons = config.hidden;
                         job.knobs.protect_weights = config.protect;
                         campaign.jobs.push_back(std::move(job));
@@ -100,14 +98,16 @@ run()
     const CampaignRunResult outcome =
         runCampaign(campaign, bench::campaignRunOptions());
 
-    const bench::Table table({16, 11, 10, 12, 10, 8});
-    table.row({"config", "clean acc", "clean dx", "worst loss",
-               "dx@worst", "pinned"});
+    const bench::Table table({16, 11, 10, 11, 8, 12, 10, 8});
+    table.row({"config", "clean acc", "clean dx", "mean rank", "rank-1",
+               "worst loss", "dx@worst", "pinned"});
     table.rule();
     std::size_t next = 0;
     for (const Config &config : kConfigs) {
         double clean_sum = 0.0, loss_sum = 0.0, pinned = 0.0;
+        double rank_sum = 0.0;
         std::size_t clean_dx = 0, worst_dx = 0, triples = 0, failed = 0;
+        std::size_t rank_one = 0;
         for (const std::string &bug : bugs) {
             for (const std::uint64_t fault_seed : kFaultSeeds) {
                 for (const std::uint64_t failure_seed : kFailureSeeds) {
@@ -126,6 +126,11 @@ run()
                         if (rate == 0.0) {
                             clean = accuracy;
                             clean_diagnosed = diagnosed;
+                            if (diagnosed) {
+                                const double rank = cell.metrics.at("rank");
+                                rank_sum += rank;
+                                rank_one += rank == 1.0 ? 1 : 0;
+                            }
                         } else if (accuracy < worst) {
                             worst = accuracy;
                             worst_diagnosed = diagnosed;
@@ -148,6 +153,11 @@ run()
         table.row({config.name,
                    format("%.3f", clean_sum / static_cast<double>(triples)),
                    format("%zu/%zu", clean_dx, triples),
+                   clean_dx == 0
+                       ? std::string("-")
+                       : format("%.2f",
+                                rank_sum / static_cast<double>(clean_dx)),
+                   format("%zu", rank_one),
                    format("%.3f", loss_sum / static_cast<double>(triples)),
                    format("%zu/%zu", worst_dx, triples),
                    format("%.3f", pinned)});

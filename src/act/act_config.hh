@@ -11,28 +11,12 @@
 
 #include "act/buffers.hh"
 #include "common/fault_hooks.hh"
+#include "common/types.hh"
 #include "hwnn/pipeline.hh"
 #include "nn/network.hh"
 
 namespace act
 {
-
-/**
- * Per-thread ensemble of member networks.
- *
- * members = 1 — the default — is the paper's single-MLP module. With
- * K > 1 members the module holds K independent weight sets over the
- * same topology and a dependence is logged as suspect only when a
- * majority (K / 2 + 1) of the members predict invalid. The hardware
- * budget still applies: the K members share the M-neuron bank, so
- * members x hidden must fit within hw.neuron fan-in (checked by
- * validateActConfig).
- */
-struct EnsembleConfig
-{
-    /** Member networks (K). 1 = the paper's single-network module. */
-    std::size_t members = 1;
-};
 
 /**
  * Selective weight protection consulted when a thread's stored weight
@@ -48,11 +32,11 @@ class WeightProtector
     virtual ~WeightProtector() = default;
 
     /**
-     * Inspect the weight set @p set_id (member << 32 | tid) about to
-     * be loaded. @return true when a corruption was detected and
-     * @p weights was repaired in place from the shadow copy.
+     * Inspect thread @p tid's weight set about to be loaded.
+     * @return true when a corruption was detected and @p weights was
+     * repaired in place from the shadow copy.
      */
-    virtual bool inspect(std::uint64_t set_id,
+    virtual bool inspect(ThreadId tid,
                          std::vector<double> &weights) const = 0;
 };
 
@@ -83,9 +67,6 @@ struct ActConfig
     /** Logical topology (inputs must equal sequence_length x encoder
      *  width; checked at module construction). */
     Topology topology{6, 10};
-
-    /** Per-thread ensemble parameters (members = 1 is dormant). */
-    EnsembleConfig ensemble;
 
     /**
      * Fault-injection decision points (resilience experiments only).

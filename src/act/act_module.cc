@@ -16,9 +16,9 @@ constexpr std::uint32_t kQuarantineEscalationThreshold = 2;
 
 /**
  * Gate construction on the full configuration contract. Runs before
- * any member is built (the hardware network asserts on bad topologies)
- * and reports every violation, naming the offending knob and value,
- * instead of tripping a bare assert on the first one.
+ * the network is built (the hardware network asserts on bad
+ * topologies) and reports every violation, naming the offending knob
+ * and value, instead of tripping a bare assert on the first one.
  */
 const ActConfig &
 checkedConfig(const ActConfig &config, const DependenceEncoder &encoder)
@@ -37,8 +37,6 @@ ActModule::ActModule(const ActConfig &config,
       network_(config.hw, config.topology), own_arena_(config_),
       arena_(&own_arena_)
 {
-    for (std::size_t m = 1; m < config_.ensemble.members; ++m)
-        extras_.emplace_back(config_.hw, config_.topology);
 }
 
 bool
@@ -100,15 +98,14 @@ ActModule::initThread(ThreadId tid, const WeightStore &store)
 
     auto weights = distrusted ? std::nullopt : store.get(tid);
     if (weights && config_.protector &&
-        config_.protector->inspect(weightSetId(tid, 0), *weights)) {
+        config_.protector->inspect(tid, *weights)) {
         ++arena.stats.repaired_weight_sets;
         static const telemetry::Counter repairs =
             telemetry::MetricsRegistry::global().counter(
                 "act.weight_repairs");
         repairs.inc();
         logWarnEvent("act.weight_repair",
-                     {logField("tid", std::uint64_t{tid}),
-                      logField("member", std::uint64_t{0})});
+                     {logField("tid", std::uint64_t{tid})});
     }
     const bool usable = weights && weightsUsable(*weights);
     if (weights && !usable)
@@ -125,73 +122,22 @@ ActModule::initThread(ThreadId tid, const WeightStore &store)
         switchMode(ActMode::kTraining);
     }
 
-    // Ensemble extras: each member loads its own stored set; a member
-    // with no (usable) set of its own falls back to member 0's, which
-    // degenerates that member to a unanimous copy instead of an
-    // always-valid zero network that would starve the quorum.
-    for (std::size_t m = 1; m < memberCount(); ++m) {
-        auto mw = distrusted ? std::nullopt : store.getMember(tid, m);
-        if (mw && mw->size() != network_.weightCount())
-            mw.reset();
-        if (mw && config_.protector &&
-            config_.protector->inspect(weightSetId(tid, m), *mw)) {
-            ++arena.stats.repaired_weight_sets;
-            static const telemetry::Counter repairs =
-                telemetry::MetricsRegistry::global().counter(
-                    "act.weight_repairs");
-            repairs.inc();
-            logWarnEvent("act.weight_repair",
-                         {logField("tid", std::uint64_t{tid}),
-                          logField("member", std::uint64_t{m})});
-        }
-        const bool musable = mw && weightsUsable(*mw);
-        if (mw && !musable)
-            recordQuarantine(tid, "init");
-        if (musable) {
-            extras_[m - 1].loadWeights(*mw);
-        } else if (usable) {
-            extras_[m - 1].loadWeights(*weights);
-        } else {
-            std::vector<double> zeros(network_.weightCount(), 0.0);
-            extras_[m - 1].loadWeights(zeros);
-        }
-    }
-
     arena.input.clear();
     arena.rate.resetInterval();
-    return network_.weightCount() * memberCount();
+    return network_.weightCount();
 }
 
 std::vector<double>
 ActModule::saveWeights() const
 {
-    std::vector<double> all = network_.storeWeights();
-    for (const HwNeuralNetwork &extra : extras_) {
-        const std::vector<double> w = extra.storeWeights();
-        all.insert(all.end(), w.begin(), w.end());
-    }
-    return all;
+    return network_.storeWeights();
 }
 
 void
 ActModule::restoreWeights(const std::vector<double> &weights)
 {
-    const std::size_t chunk = network_.weightCount();
-    const std::size_t members = memberCount();
-    bool usable = weights.size() == chunk * members;
-    for (std::size_t m = 0; usable && m < members; ++m) {
-        usable = weightsUsable(
-            std::span<const double>(weights).subspan(m * chunk, chunk));
-    }
-    if (usable) {
-        for (std::size_t m = 0; m < members; ++m) {
-            const auto part =
-                std::span<const double>(weights).subspan(m * chunk, chunk);
-            if (m == 0)
-                network_.loadWeights(part);
-            else
-                extras_[m - 1].loadWeights(part);
-        }
+    if (weightsUsable(weights)) {
+        network_.loadWeights(weights);
     } else {
         ++arena_->stats.quarantined_weight_sets;
         static const telemetry::Counter quarantines =
@@ -202,10 +148,8 @@ ActModule::restoreWeights(const std::vector<double> &weights)
                                                 "act", {});
         logWarnEvent("act.weight_quarantine",
                      {logField("where", "restore")});
-        std::vector<double> zeros(chunk, 0.0);
+        std::vector<double> zeros(network_.weightCount(), 0.0);
         network_.loadWeights(zeros);
-        for (HwNeuralNetwork &extra : extras_)
-            extra.loadWeights(zeros);
         switchMode(ActMode::kTraining);
     }
     arena_->input.clear();
@@ -217,11 +161,6 @@ ActModule::exportWeights(WeightStore &store, ThreadId tid) const
     std::vector<double> w = network_.storeWeights();
     if (w.size() == store.weightCount())
         store.set(tid, std::move(w));
-    for (std::size_t m = 1; m < memberCount(); ++m) {
-        std::vector<double> mw = extras_[m - 1].storeWeights();
-        if (mw.size() == store.weightCount())
-            store.setMember(tid, m, std::move(mw));
-    }
 }
 
 void
@@ -313,10 +252,7 @@ ActModule::onDependence(const RawDependence &dep, ThreadId tid,
         return outcome;
 
     // Timing: the load retires only once the input FIFO accepts the
-    // sequence. A full FIFO stalls it (Section III-C / IV-A). The
-    // ensemble shares the M-neuron bank, so one acceptance covers all
-    // members — the budget check in validateActConfig guarantees they
-    // fit side by side.
+    // sequence. A full FIFO stalls it (Section III-C / IV-A).
     const bool training = arena.mode == ActMode::kTraining;
     Cycle now = cycle;
     for (;;) {
@@ -330,49 +266,27 @@ ActModule::onDependence(const RawDependence &dep, ThreadId tid,
         now = accepted.retry_at;
     }
 
-    // Function: every member classifies the sequence. In training mode
-    // all dependences are presumed valid, so each member learns the
-    // ones it would have rejected. The suspect flag is the members'
-    // majority vote; member 0's output is the one reported.
+    // Function: classify the sequence. In training mode all
+    // dependences are presumed valid, so the network learns the ones
+    // it would have rejected.
+    //
+    // The Debug Buffer records the raw accumulator value: the ranking
+    // tie-break wants "the most negative output", which the saturated
+    // sigmoid cannot resolve. In testing mode the forward pass already
+    // produced it; in training mode the weights just moved, so a
+    // flagged sequence's raw value is re-read from the updated network
+    // (what the hardware would log after the back-propagation pass).
     const std::vector<double> &inputs = arena.input_scratch;
     double raw = 0.0;
     outcome.classified = true;
     outcome.output = training ? network_.infer(inputs)
                               : network_.inferWithRaw(inputs, raw);
-    std::size_t votes = 0;
-    if (outcome.output < 0.5) {
-        ++votes;
-        if (training) {
-            network_.train(inputs, 1.0, config_.learning_rate);
-            ++arena.stats.train_updates;
-        }
-    }
-    for (HwNeuralNetwork &extra : extras_) {
-        if (extra.infer(inputs) < 0.5) {
-            ++votes;
-            if (training) {
-                extra.train(inputs, 1.0, config_.learning_rate);
-                ++arena.stats.train_updates;
-            }
-        }
-    }
-    outcome.predicted_invalid = votes >= quorum();
-    if (!extras_.empty()) {
-        if (votes != 0 && votes != memberCount())
-            ++arena.stats.ensemble_disagreements;
-        if ((outcome.output < 0.5) != outcome.predicted_invalid)
-            ++arena.stats.quorum_overrides;
-    }
-
-    // The Debug Buffer records member 0's raw accumulator value: the
-    // ranking tie-break wants "the most negative output", which the
-    // saturated sigmoid cannot resolve. In training mode the weights
-    // just moved, so a flagged sequence's raw value is re-read from the
-    // updated network (what the hardware would log after the
-    // back-propagation pass); in testing mode the forward pass already
-    // produced it.
-    if (training && outcome.predicted_invalid)
+    outcome.predicted_invalid = outcome.output < 0.5;
+    if (training && outcome.predicted_invalid) {
+        network_.train(inputs, 1.0, config_.learning_rate);
+        ++arena.stats.train_updates;
         network_.inferWithRaw(inputs, raw);
+    }
     commitSequence(arena, outcome.predicted_invalid, raw, arena.seq_scratch,
                    tid);
     return outcome;
@@ -395,7 +309,6 @@ ActModule::commitPrediction(const DependenceSequence &sequence,
                             ThreadId tid)
 {
     ACT_ASSERT(arena_->mode == ActMode::kTesting);
-    ACT_ASSERT(extras_.empty());
     StagedOutcome outcome;
     outcome.predicted_invalid = output < 0.5;
     // Flagged sequences are rare (the whole premise of the Debug

@@ -77,11 +77,8 @@ struct ActModuleStats
     std::uint64_t debug_drops_injected = 0;    //!< Faulted-away log entries.
     std::uint64_t quarantined_weight_sets = 0; //!< Corrupt sets rejected.
 
-    // Adaptivity accounting. All of these stay zero on a dormant
-    // module (single member, no protector) that no fault reaches: the
-    // ensemble/protection machinery never touches them.
-    std::uint64_t quorum_overrides = 0;     //!< Votes flipping member 0.
-    std::uint64_t ensemble_disagreements = 0; //!< Split member votes.
+    // Weight-store hardening accounting: both stay zero on any run
+    // that no weight fault reaches.
     std::uint64_t repaired_weight_sets = 0; //!< Shadow-copy repairs.
     std::uint64_t quarantine_escalations = 0; //!< Distrusted tids.
 };
@@ -163,14 +160,6 @@ class ActModule
     DebugBuffer &debugBuffer() { return arena_->debug; }
     const HwNeuralNetwork &network() const { return network_; }
 
-    // --- Ensemble ---------------------------------------------------
-
-    /** Member networks (1 = dormant single-network module). */
-    std::size_t memberCount() const { return 1 + extras_.size(); }
-
-    /** Invalid votes needed to flag a sequence: the majority. */
-    std::size_t quorum() const { return memberCount() / 2 + 1; }
-
     // --- Arena management -----------------------------------------
 
     /** A fresh arena sized for this module's configuration. */
@@ -201,23 +190,16 @@ class ActModule
      */
     std::size_t initThread(ThreadId tid, const WeightStore &store);
 
-    /**
-     * Read the current weights back (thread exit / context switch).
-     * With K ensemble members the K flat sets are concatenated in
-     * member order; for K = 1 this is exactly the member-0 vector.
-     */
+    /** Read the current weights back (thread exit / context switch). */
     std::vector<double> saveWeights() const;
 
-    /** Restore previously saved weights (context switch in; accepts
-     *  the concatenated layout saveWeights produces). */
+    /** Restore previously saved weights (context switch in). */
     void restoreWeights(const std::vector<double> &weights);
 
     /**
      * Write the current weights back into @p store for @p tid (thread
-     * exit, Section IV-C): member 0 into the plain per-thread slot,
-     * ensemble extras into their member slots. Sets whose size does
-     * not match the store's topology are skipped — the binary cannot
-     * be patched with them.
+     * exit, Section IV-C). A set whose size does not match the store's
+     * topology is skipped — the binary cannot be patched with it.
      */
     void exportWeights(WeightStore &store, ThreadId tid) const;
 
@@ -265,10 +247,10 @@ class ActModule
 
     /**
      * Second half: account a prediction for a previously staged
-     * sequence of a single-member module. @p inputs must be the staged
-     * encoding (for the raw read-back of flagged sequences) and
-     * @p output the activation the batch inference produced for it.
-     * Commits for one arena must arrive in staging order.
+     * sequence. @p inputs must be the staged encoding (for the raw
+     * read-back of flagged sequences) and @p output the activation the
+     * batch inference produced for it. Commits for one arena must
+     * arrive in staging order.
      */
     StagedOutcome commitPrediction(const DependenceSequence &sequence,
                                    std::span<const double> inputs,
@@ -305,9 +287,6 @@ class ActModule
     ActConfig config_;
     std::unique_ptr<DependenceEncoder> encoder_;
     HwNeuralNetwork network_;
-
-    /** Ensemble members 1..K-1 (empty on a dormant module). */
-    std::vector<HwNeuralNetwork> extras_;
 
     ActArena own_arena_;
     ActArena *arena_;

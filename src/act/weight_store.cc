@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 #include "common/logging.hh"
@@ -44,59 +45,6 @@ WeightStore::setAll(std::uint32_t count, const std::vector<double> &weights)
         set(tid, weights);
 }
 
-std::optional<std::vector<double>>
-WeightStore::getMember(ThreadId tid, std::size_t member) const
-{
-    if (member == 0)
-        return get(tid);
-    const auto it = members_.find(weightSetId(tid, member));
-    if (it == members_.end())
-        return std::nullopt;
-    return it->second;
-}
-
-void
-WeightStore::setMember(ThreadId tid, std::size_t member,
-                       std::vector<double> weights)
-{
-    if (member == 0) {
-        set(tid, std::move(weights));
-        return;
-    }
-    ACT_ASSERT(weights.size() == weightCount());
-    members_[weightSetId(tid, member)] = std::move(weights);
-}
-
-bool
-WeightStore::hasMember(ThreadId tid, std::size_t member) const
-{
-    if (member == 0)
-        return has(tid);
-    return members_.count(weightSetId(tid, member)) != 0;
-}
-
-std::size_t
-WeightStore::memberCountFor(ThreadId tid) const
-{
-    if (!has(tid))
-        return 0;
-    std::size_t count = 1;
-    while (members_.count(weightSetId(tid, count)) != 0)
-        ++count;
-    return count;
-}
-
-std::vector<std::uint64_t>
-WeightStore::memberIds() const
-{
-    std::vector<std::uint64_t> ids;
-    ids.reserve(members_.size());
-    for (const auto &[id, w] : members_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    return ids;
-}
-
 std::vector<ThreadId>
 WeightStore::tids() const
 {
@@ -123,27 +71,15 @@ WeightStore::save(const std::string &path) const
         return false;
     const std::uint64_t inputs = topology_.inputs;
     const std::uint64_t hidden = topology_.hidden;
-    const std::uint64_t threads = weights_.size() + members_.size();
+    const std::uint64_t threads = weights_.size();
     if (std::fwrite(&inputs, sizeof(inputs), 1, file.get()) != 1 ||
         std::fwrite(&hidden, sizeof(hidden), 1, file.get()) != 1 ||
         std::fwrite(&threads, sizeof(threads), 1, file.get()) != 1) {
         return false;
     }
-    for (const auto &[tid, w] : weights_) {
+    for (const ThreadId tid : tids()) {
         const std::uint64_t id = tid;
-        if (std::fwrite(&id, sizeof(id), 1, file.get()) != 1)
-            return false;
-        if (std::fwrite(w.data(), sizeof(double), w.size(), file.get()) !=
-            w.size()) {
-            return false;
-        }
-    }
-    // Ensemble extras ride in the same entry stream with the member
-    // index in the id's upper 32 bits: a store without extras writes a
-    // file byte-identical to the pre-ensemble format, and old readers
-    // of new files only ever see ids they can represent.
-    for (const std::uint64_t id : memberIds()) {
-        const std::vector<double> &w = members_.at(id);
+        const std::vector<double> &w = weights_.at(tid);
         if (std::fwrite(&id, sizeof(id), 1, file.get()) != 1)
             return false;
         if (std::fwrite(w.data(), sizeof(double), w.size(), file.get()) !=
@@ -176,21 +112,24 @@ WeightStore::load(const std::string &path)
         return false;
     topology_ = topology;
     weights_.clear();
-    members_.clear();
     const std::size_t count = weightCount();
     for (std::uint64_t i = 0; i < threads; ++i) {
         std::uint64_t id = 0;
         if (std::fread(&id, sizeof(id), 1, file.get()) != 1)
             return false;
+        // One set per thread: an id beyond ThreadId (as the retired
+        // multi-member format wrote for its extra members) or a repeated
+        // id would otherwise replace another thread's set unnoticed.
+        if (id > std::numeric_limits<ThreadId>::max() ||
+            weights_.count(static_cast<ThreadId>(id)) != 0) {
+            return false;
+        }
         std::vector<double> w(count);
         if (std::fread(w.data(), sizeof(double), count, file.get()) !=
             count) {
             return false;
         }
-        if (id >> 32 != 0)
-            members_[id] = std::move(w);
-        else
-            weights_[static_cast<ThreadId>(id)] = std::move(w);
+        weights_[static_cast<ThreadId>(id)] = std::move(w);
     }
     return true;
 }

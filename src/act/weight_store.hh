@@ -26,19 +26,6 @@
 namespace act
 {
 
-/**
- * Identifier of one stored weight set: ensemble member @p member of
- * thread @p tid. Member 0 ids are plain thread ids, so files written
- * before the ensemble extension load unchanged and files without
- * ensemble entries are byte-identical to the pre-ensemble format.
- */
-inline constexpr std::uint64_t
-weightSetId(ThreadId tid, std::size_t member)
-{
-    return (static_cast<std::uint64_t>(member) << 32) |
-           static_cast<std::uint64_t>(tid);
-}
-
 /** The binary-resident weight table. */
 class WeightStore
 {
@@ -62,26 +49,6 @@ class WeightStore
     /** Store the same weights for threads [0, count). */
     void setAll(std::uint32_t count, const std::vector<double> &weights);
 
-    // --- Ensemble members -----------------------------------------
-
-    /** Weights of ensemble member @p member for @p tid (member 0 is
-     *  the plain per-thread set). */
-    std::optional<std::vector<double>> getMember(ThreadId tid,
-                                                 std::size_t member) const;
-
-    /** Record member @p member's weights for @p tid. */
-    void setMember(ThreadId tid, std::size_t member,
-                   std::vector<double> weights);
-
-    /** Does member @p member of @p tid have stored weights? */
-    bool hasMember(ThreadId tid, std::size_t member) const;
-
-    /** Stored members for @p tid: 1 + the contiguous extras present. */
-    std::size_t memberCountFor(ThreadId tid) const;
-
-    /** Extra (member >= 1) weight-set ids, sorted, for audits. */
-    std::vector<std::uint64_t> memberIds() const;
-
     /** Number of threads with stored weights. */
     std::size_t size() const { return weights_.size(); }
 
@@ -91,18 +58,23 @@ class WeightStore
     /** Number of weight registers per thread for the topology. */
     std::size_t weightCount() const;
 
-    /** Serialise to a file; returns false on I/O failure. */
+    /**
+     * Serialise to a file: a header of three u64 (inputs, hidden,
+     * entry count), then per thread in tid order a u64 id followed by
+     * weightCount() doubles. Returns false on I/O failure.
+     */
     bool save(const std::string &path) const;
 
-    /** Load from a file written by save(). */
+    /**
+     * Load from a file written by save(). Returns false on I/O failure,
+     * on an invalid topology header, and on an entry whose id does not
+     * fit a ThreadId or repeats an earlier entry's.
+     */
     bool load(const std::string &path);
 
   private:
     Topology topology_{6, 10};
     std::unordered_map<ThreadId, std::vector<double>> weights_;
-
-    /** Ensemble extras keyed by weightSetId (member >= 1 only). */
-    std::unordered_map<std::uint64_t, std::vector<double>> members_;
 };
 
 } // namespace act

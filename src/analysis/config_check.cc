@@ -1,8 +1,5 @@
 #include "analysis/config_check.hh"
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "act/weight_store.hh"
 
 namespace act
@@ -28,50 +25,6 @@ validateWeightStore(const WeightStore &store)
             topology, *weights, "tid " + std::to_string(tid));
         findings.insert(findings.end(), set_findings.begin(),
                         set_findings.end());
-    }
-    return findings;
-}
-
-std::vector<Finding>
-validateWeightStoreEnsemble(const WeightStore &store)
-{
-    std::vector<Finding> findings = validateWeightStore(store);
-    const Topology &topology = store.topology();
-
-    // Group the extra member sets by thread so gaps are detectable.
-    std::unordered_map<ThreadId, std::size_t> max_member;
-    std::unordered_map<ThreadId, std::size_t> member_sets;
-    for (const std::uint64_t id : store.memberIds()) {
-        const auto tid = static_cast<ThreadId>(id & 0xffffffffu);
-        const auto member = static_cast<std::size_t>(id >> 32);
-        max_member[tid] = std::max(max_member[tid], member);
-        ++member_sets[tid];
-        const std::string label =
-            "tid " + std::to_string(tid) + " member " +
-            std::to_string(member);
-        if (!store.has(tid)) {
-            findings.push_back(makeFinding(
-                "weights", "ensemble-orphan", Severity::kError,
-                label + " stored without a member-0 set for the thread"));
-        }
-        const auto weights = store.getMember(tid, member);
-        if (!weights)
-            continue;
-        const auto set_findings =
-            validateWeightsStrict(topology, *weights, label);
-        findings.insert(findings.end(), set_findings.begin(),
-                        set_findings.end());
-    }
-    for (const auto &[tid, highest] : max_member) {
-        if (member_sets.at(tid) != highest) {
-            findings.push_back(makeFinding(
-                "weights", "ensemble-gap", Severity::kError,
-                "tid " + std::to_string(tid) +
-                    ": member indices are not contiguous (highest " +
-                    std::to_string(highest) + ", " +
-                    std::to_string(member_sets.at(tid)) +
-                    " extra sets stored)"));
-        }
     }
     return findings;
 }

@@ -146,19 +146,6 @@ validateActConfig(const ActConfig &config, std::size_t encoder_width)
                 " outside [1, M=" +
                 std::to_string(config.hw.neuron.max_inputs) + "]");
     }
-    if (config.ensemble.members < 1)
-        bad("ensemble", "ensemble.members must be at least 1");
-    if (config.ensemble.members > 1 &&
-        config.ensemble.members * config.topology.hidden >
-            config.hw.neuron.max_inputs) {
-        // The ensemble shares the single M-neuron hardware bank, so
-        // members x hidden must fit inside it side by side.
-        bad("ensemble-budget",
-            std::to_string(config.ensemble.members) + " members x " +
-                std::to_string(config.topology.hidden) +
-                " hidden neurons exceed the hardware budget M=" +
-                std::to_string(config.hw.neuron.max_inputs));
-    }
     if (config.input_buffer_entries != kInputGeneratorBufferEntries &&
         config.input_buffer_entries >= config.sequence_length) {
         detail::addConfigWarning(
@@ -256,16 +243,6 @@ class WeightStore;
  * thread id).
  */
 std::vector<Finding> validateWeightStore(const WeightStore &store);
-
-/**
- * Ensemble-aware store audit (actlint weights --ensemble): everything
- * validateWeightStore checks plus, per stored ensemble member set,
- * strict value hygiene and cross-member consistency — a member entry
- * whose thread has no member-0 set ("ensemble-orphan", kError) or a
- * gap in the member indices for one thread ("ensemble-gap", kError)
- * means the store cannot initialise the ensemble it claims to hold.
- */
-std::vector<Finding> validateWeightStoreEnsemble(const WeightStore &store);
 
 } // namespace act
 

@@ -90,21 +90,6 @@ offlineTrain(const Workload &workload, DependenceEncoder &encoder,
     model.training = trainNetwork(network, data, config.trainer, rng);
     model.weights = network.weights();
 
-    // Ensemble extras: one more network per member, trained on the
-    // same dataset from an independent seed (its own initialisation
-    // and example order). Diversity comes entirely from the seeds —
-    // the members see the same ground truth, so they agree on clean
-    // inputs and disagree mainly where a perturbed weight set (or a
-    // genuinely ambiguous sequence) pulls one of them off.
-    for (std::size_t m = 1; m < config.ensemble_members; ++m) {
-        Rng member_rng(hashCombine(config.rng_seed, 0xe5e00 + m));
-        Dataset member_data = data;
-        member_data.shuffle(member_rng);
-        MlpNetwork member(model.topology, member_rng);
-        trainNetwork(member, member_data, config.trainer, member_rng);
-        model.member_weights.push_back(member.weights());
-    }
-
     // Per-thread specialisation: fine-tune a copy of the base network
     // on each thread's own sequences (Section III-B).
     if (config.per_thread_weights) {
@@ -138,8 +123,6 @@ buildWeightStore(const TrainedModel &model, std::uint32_t threads)
         store.set(tid,
                   it != model.per_thread.end() ? it->second
                                                : model.weights);
-        for (std::size_t m = 0; m < model.member_weights.size(); ++m)
-            store.setMember(tid, m + 1, model.member_weights[m]);
     }
     return store;
 }
@@ -203,11 +186,6 @@ diagnoseFailure(const Workload &workload, const DiagnosisSetup &setup)
     sys_config.act_enabled = true;
     sys_config.act.sequence_length = setup.training.sequence_length;
     sys_config.act.topology = result.model.topology;
-    // The online modules must vote over exactly the member sets that
-    // were trained; keep the counts in lockstep so a sweep can vary
-    // one knob.
-    if (setup.training.ensemble_members > 1)
-        sys_config.act.ensemble.members = setup.training.ensemble_members;
 
     WeightStore store =
         buildWeightStore(result.model, workload.threadCount());

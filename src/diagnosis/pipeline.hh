@@ -60,16 +60,6 @@ struct OfflineTrainingConfig
     /** Fine-tuning epochs per thread when per_thread_weights is set. */
     std::size_t per_thread_epochs = 40;
 
-    /**
-     * Ensemble members to train (K). 1 — the default — trains the
-     * single network the paper describes. With K > 1, members 1..K-1
-     * are trained on the same dataset from independent seeds (their
-     * own weight initialisation and example order), producing the
-     * diverse-but-agreeing voters the online majority vote needs. The online
-     * module must be configured with the same member count.
-     */
-    std::size_t ensemble_members = 1;
-
     /** Trace source for the training runs (empty = record directly). */
     TraceProvider trace_provider;
 };
@@ -85,12 +75,6 @@ struct TrainedModel
 
     /** Per-thread specialised weights (per_thread_weights only). */
     std::unordered_map<ThreadId, std::vector<double>> per_thread;
-
-    /**
-     * Extra ensemble member weights (index 0 = member 1), trained from
-     * independent seeds. Empty when ensemble_members is 1.
-     */
-    std::vector<std::vector<double>> member_weights;
 };
 
 /**

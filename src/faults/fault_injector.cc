@@ -126,15 +126,11 @@ std::size_t
 FaultInjector::corruptWeightStore(WeightStore &store, std::uint64_t stream)
 {
     const std::size_t before = log_.size();
-
-    // Damage one register vector under both weight rates. @p key feeds
-    // the decision hashes — hashCombine(stream, tid-or-set-id), the
-    // exact pre-refactor streams, so historical per-register corruption
-    // sequences are bit-identical — and @p rec_stream labels the
-    // injection records.
-    const auto damage = [this](std::vector<double> &weights,
-                               std::uint64_t key,
-                               std::uint64_t rec_stream) {
+    for (const ThreadId tid : store.tids()) {
+        std::vector<double> weights = *store.get(tid);
+        // The decision hashes are keyed by hashCombine(stream, tid), so
+        // every thread's set takes its own replayable damage pattern.
+        const std::uint64_t key = hashCombine(stream, tid);
         bool touched = false;
         for (std::size_t i = 0; i < weights.size(); ++i) {
             if (!decide(FaultSite::kWeightBitflip,
@@ -151,7 +147,7 @@ FaultInjector::corruptWeightStore(WeightStore &store, std::uint64_t stream)
             std::memcpy(&raw, &weights[i], sizeof(raw));
             raw ^= 1ULL << bit;
             std::memcpy(&weights[i], &raw, sizeof(raw));
-            record(FaultSite::kWeightBitflip, rec_stream, i, bit);
+            record(FaultSite::kWeightBitflip, tid, i, bit);
             touched = true;
         }
         if (plan_.weight_bit_rate > 0.0) {
@@ -170,37 +166,15 @@ FaultInjector::corruptWeightStore(WeightStore &store, std::uint64_t stream)
                         continue;
                     }
                     raw ^= 1ULL << bit;
-                    record(FaultSite::kWeightBitflip, rec_stream, i, bit);
+                    record(FaultSite::kWeightBitflip, tid, i, bit);
                     touched = true;
                 }
                 if (raw != original)
                     std::memcpy(&weights[i], &raw, sizeof(raw));
             }
         }
-        return touched;
-    };
-
-    for (const ThreadId tid : store.tids()) {
-        const auto weights = store.get(tid);
-        if (!weights)
-            continue;
-        std::vector<double> damaged = *weights;
-        if (damage(damaged, hashCombine(stream, tid), tid))
-            store.set(tid, std::move(damaged));
-    }
-    // Ensemble member sets (absent entirely from single-member stores,
-    // keeping pre-ensemble corruption streams bit-identical) are
-    // damaged under the same rates, keyed by their full 64-bit set id
-    // so members of one thread fault independently.
-    for (const std::uint64_t id : store.memberIds()) {
-        const auto tid = static_cast<ThreadId>(id & 0xffffffffu);
-        const auto member = static_cast<std::size_t>(id >> 32);
-        const auto weights = store.getMember(tid, member);
-        if (!weights)
-            continue;
-        std::vector<double> damaged = *weights;
-        if (damage(damaged, hashCombine(stream, id), id))
-            store.setMember(tid, member, std::move(damaged));
+        if (touched)
+            store.set(tid, std::move(weights));
     }
     return log_.size() - before;
 }

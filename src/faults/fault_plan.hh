@@ -96,9 +96,9 @@ struct FaultPlan
      * on the stored weight sets — per stored *bit*, so the sweep walks
      * from pristine through silently-perturbed into grossly-corrupt
      * registers — and everything else pristine. This isolates exactly
-     * the failure class ensembles and selective weight protection are
-     * built to absorb, so accuracy deltas in the sweep measure those
-     * mechanisms and not trace damage.
+     * the failure class selective weight protection is built to
+     * absorb, so accuracy deltas in the sweep measure that mechanism
+     * and not trace damage.
      */
     static FaultPlan
     weightsOnly(double rate, std::uint64_t seed)

@@ -9,19 +9,19 @@ namespace act
 {
 
 WeightSensitivity
-probeWeightSensitivity(std::uint64_t set_id,
-                       std::span<const double> weights, std::size_t probes,
-                       std::uint64_t seed, double weight_limit)
+probeWeightSensitivity(ThreadId tid, std::span<const double> weights,
+                       std::size_t probes, std::uint64_t seed,
+                       double weight_limit)
 {
     WeightSensitivity out;
-    out.set_id = set_id;
+    out.tid = tid;
     if (weights.empty())
         return out;
     out.probes = probes;
     for (std::size_t p = 0; p < probes; ++p) {
         // Same corruption model as corruptWeightStore: one flipped bit
         // of the stored IEEE-754 representation.
-        const std::uint64_t h = hash3(seed ^ 0x5e45u, set_id, p);
+        const std::uint64_t h = hash3(seed ^ 0x5e45u, tid, p);
         const std::size_t reg = (h >> 8) % weights.size();
         const std::uint64_t bit = h % 64;
         const double original = weights[reg];

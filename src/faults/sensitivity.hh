@@ -23,13 +23,15 @@
 #include <span>
 #include <vector>
 
+#include "common/types.hh"
+
 namespace act
 {
 
 /** Outcome of probing one weight set. */
 struct WeightSensitivity
 {
-    std::uint64_t set_id = 0;  //!< weightSetId of the probed set.
+    ThreadId tid = 0;          //!< Thread whose set was probed.
     std::size_t probes = 0;    //!< Bit flips attempted.
     std::size_t detectable = 0; //!< Flips the quarantine layer catches.
     std::size_t silent = 0;     //!< Flips that pass validation.
@@ -55,12 +57,12 @@ struct WeightSensitivity
 
 /**
  * Probe @p weights with @p probes seeded single-bit flips. Every flip
- * targets a (register, bit) pair derived from (@p seed, @p set_id,
+ * targets a (register, bit) pair derived from (@p seed, @p tid,
  * probe index) hashes, so a ranking is reproducible from its
  * configuration alone. @p weight_limit is the detectability boundary
  * (pass kHwWeightLimit; a parameter so tests can tighten it).
  */
-WeightSensitivity probeWeightSensitivity(std::uint64_t set_id,
+WeightSensitivity probeWeightSensitivity(ThreadId tid,
                                          std::span<const double> weights,
                                          std::size_t probes,
                                          std::uint64_t seed,

@@ -38,60 +38,41 @@ WeightGuard::build(const WeightStore &store,
     if (!config.enabled)
         return guard;
 
-    // Probe every stored set: member-0 sets first (tid order), then
-    // the ensemble extras (set-id order) — a deterministic enumeration
-    // so the ranking replays from the configuration alone.
+    // Probe every stored set in tid order — a deterministic
+    // enumeration, so the ranking replays from the configuration alone.
     for (const ThreadId tid : store.tids()) {
-        const auto weights = store.get(tid);
-        if (!weights)
-            continue;
         guard.ranking_.push_back(probeWeightSensitivity(
-            weightSetId(tid, 0), *weights, config.probes,
-            config.probe_seed, kHwWeightLimit));
-    }
-    for (const std::uint64_t id : store.memberIds()) {
-        const auto tid = static_cast<ThreadId>(id & 0xffffffffu);
-        const auto member = static_cast<std::size_t>(id >> 32);
-        const auto weights = store.getMember(tid, member);
-        if (!weights)
-            continue;
-        guard.ranking_.push_back(probeWeightSensitivity(
-            id, *weights, config.probes, config.probe_seed,
+            tid, *store.get(tid), config.probes, config.probe_seed,
             kHwWeightLimit));
     }
 
-    // Most silent damage first; ties broken by set id so the guarded
+    // Most silent damage first; ties broken by tid so the guarded
     // subset is stable across runs and platforms.
     std::sort(guard.ranking_.begin(), guard.ranking_.end(),
               [](const WeightSensitivity &a, const WeightSensitivity &b) {
                   if (a.silent_damage != b.silent_damage)
                       return a.silent_damage > b.silent_damage;
-                  return a.set_id < b.set_id;
+                  return a.tid < b.tid;
               });
 
     const auto budget = static_cast<std::size_t>(std::ceil(
         config.protect_fraction *
         static_cast<double>(guard.ranking_.size())));
     for (std::size_t i = 0; i < guard.ranking_.size() && i < budget; ++i) {
-        const std::uint64_t id = guard.ranking_[i].set_id;
-        const auto tid = static_cast<ThreadId>(id & 0xffffffffu);
-        const auto member = static_cast<std::size_t>(id >> 32);
-        const auto weights = store.getMember(tid, member);
-        if (!weights)
-            continue;
+        const ThreadId tid = guard.ranking_[i].tid;
+        std::vector<double> weights = *store.get(tid);
         Guard g;
-        g.checksum = weightChecksum(*weights);
-        g.shadow = *weights;
-        guard.guards_.emplace(id, std::move(g));
+        g.checksum = weightChecksum(weights);
+        g.shadow = std::move(weights);
+        guard.guards_.emplace(tid, std::move(g));
     }
     return guard;
 }
 
 bool
-WeightGuard::inspect(std::uint64_t set_id,
-                     std::vector<double> &weights) const
+WeightGuard::inspect(ThreadId tid, std::vector<double> &weights) const
 {
-    const auto it = guards_.find(set_id);
+    const auto it = guards_.find(tid);
     if (it == guards_.end())
         return false;
     if (weightChecksum(weights) == it->second.checksum)
@@ -105,7 +86,7 @@ WeightGuard::inspect(std::uint64_t set_id,
             "faults.weight_repairs");
     repairs.inc();
     logWarnEvent("faults.weight_repair",
-                 {logField("set", set_id)});
+                 {logField("tid", std::uint64_t{tid})});
     return true;
 }
 

@@ -9,10 +9,9 @@
  * perturb values too small to matter. WeightGuard spends the
  * protection budget where probing says silent damage concentrates:
  *
- *  1. rank every stored set (member-0 and ensemble extras) by its
- *     empirical sensitivity — seeded bit-flip probes classified into
- *     detectable vs silent, silent flips scored by perturbation
- *     magnitude (faults/sensitivity);
+ *  1. rank every stored set by its empirical sensitivity — seeded
+ *     bit-flip probes classified into detectable vs silent, silent
+ *     flips scored by perturbation magnitude (faults/sensitivity);
  *  2. guard the top `protect_fraction` of sets with an FNV-1a
  *     checksum over the IEEE-754 bit patterns plus a full shadow
  *     copy;
@@ -71,11 +70,8 @@ class WeightGuard final : public WeightProtector
     static WeightGuard build(const WeightStore &store,
                              const WeightProtectionConfig &config);
 
-    /** Is @p set_id one of the guarded sets? */
-    bool guarded(std::uint64_t set_id) const
-    {
-        return guards_.count(set_id) != 0;
-    }
+    /** Is thread @p tid's set one of the guarded sets? */
+    bool guarded(ThreadId tid) const { return guards_.count(tid) != 0; }
 
     /** Guarded set count (<= ceil(protect_fraction x stored sets)). */
     std::size_t guardedCount() const { return guards_.size(); }
@@ -90,10 +86,10 @@ class WeightGuard final : public WeightProtector
 
     /**
      * Checksum-verify @p weights against the guard record for
-     * @p set_id; restore the shadow copy on mismatch. Unguarded sets
+     * @p tid; restore the shadow copy on mismatch. Unguarded sets
      * pass through untouched. @return true when a repair happened.
      */
-    bool inspect(std::uint64_t set_id,
+    bool inspect(ThreadId tid,
                  std::vector<double> &weights) const override;
 
   private:
@@ -103,7 +99,7 @@ class WeightGuard final : public WeightProtector
         std::vector<double> shadow;
     };
 
-    std::unordered_map<std::uint64_t, Guard> guards_;
+    std::unordered_map<ThreadId, Guard> guards_;
     std::vector<WeightSensitivity> ranking_;
 };
 

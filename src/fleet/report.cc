@@ -30,7 +30,6 @@ FleetReport::merge(const FleetReport &other)
     totals.events_dropped += other.totals.events_dropped;
     totals.blocks_dropped += other.totals.blocks_dropped;
     totals.lint_rejects += other.totals.lint_rejects;
-    totals.lockset_findings += other.totals.lockset_findings;
 
     for (const auto &[pair, stat] : other.suspects) {
         SuspectStat &mine = suspects[pair];
@@ -73,14 +72,6 @@ FleetReport::toText(std::size_t top_k) const
         static_cast<unsigned long long>(totals.blocks_dropped),
         static_cast<unsigned long long>(totals.lint_rejects));
     emit();
-    if (totals.lockset_findings != 0) {
-        // Rendered only in lockset mode so dormant reports keep their
-        // historical byte layout.
-        std::snprintf(line, sizeof(line), "lockset findings %llu\n",
-                      static_cast<unsigned long long>(
-                          totals.lockset_findings));
-        emit();
-    }
 
     std::vector<std::pair<std::pair<Pc, Pc>, SuspectStat>> ranked(
         suspects.begin(), suspects.end());

@@ -39,8 +39,6 @@ struct FleetTotals
     std::uint64_t events_dropped = 0;    //!< Shed under backpressure.
     std::uint64_t blocks_dropped = 0;
     std::uint64_t lint_rejects = 0;      //!< Blocks failing batch lint.
-    std::uint64_t lockset_findings = 0;  //!< Distinct per-client lockset
-                                         //!< race findings (--lockset-blocks).
 };
 
 /** Evidence accumulated against one suspect PC-pair. */

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "act/act_module.hh"
-#include "analysis/lockset.hh"
 #include "analysis/trace_lint.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -43,7 +42,6 @@ struct FleetMetrics
     telemetry::Counter predictions;
     telemetry::Counter flagged;
     telemetry::Counter lint_rejects;
-    telemetry::Counter lockset_findings;
 
     static const FleetMetrics &
     get()
@@ -64,8 +62,6 @@ struct FleetMetrics
             m.flagged = reg.counter("fleet.flagged", kVolatile);
             m.lint_rejects =
                 reg.counter("fleet.lint_rejects", kVolatile);
-            m.lockset_findings =
-                reg.counter("fleet.lockset_findings", kVolatile);
             return m;
         }();
         return metrics;
@@ -147,19 +143,16 @@ clientMemConfig()
 struct ClientState
 {
     ClientState(const ActModule &module, FrontEnd front,
-                const MemSystemConfig &mem_config, bool with_lockset)
+                const MemSystemConfig &mem_config)
         : arena(module.makeArena())
     {
         if (front == FrontEnd::kMem)
             mem = std::make_unique<MemorySystem>(mem_config);
-        if (with_lockset)
-            lockset = std::make_unique<LocksetDetector>();
     }
 
     ActArena arena;
     DependenceTracker tracker;
     std::unique_ptr<MemorySystem> mem; //!< kMem front-end only.
-    std::unique_ptr<LocksetDetector> lockset; //!< lockset_blocks only.
 };
 
 /** Feed one event through the client's front-end. */
@@ -239,8 +232,6 @@ class ShardWorker
         module_.bindArena(&client.arena);
         std::uint64_t deps = 0;
         for (const TraceEvent &event : block.events) {
-            if (client.lockset)
-                client.lockset->observe(event);
             const auto dep = observeEvent(client, event);
             if (!dep)
                 continue;
@@ -274,19 +265,13 @@ class ShardWorker
     {
         flushBatch();
         std::lock_guard<std::mutex> lock(mutex_);
-        std::uint64_t lockset_findings = 0;
         for (const auto &client : clients_) {
             if (!client)
                 continue;
             const ActModuleStats &s = client->arena.stats;
             report_.totals.input_overwrites += s.input_buffer_overwrites;
             report_.totals.debug_overwrites += s.debug_buffer_overwrites;
-            if (client->lockset)
-                lockset_findings += client->lockset->report().size();
         }
-        report_.totals.lockset_findings += lockset_findings;
-        if (lockset_findings != 0)
-            FleetMetrics::get().lockset_findings.add(lockset_findings);
     }
 
     /** Point-in-time copy for epoch reporting. */
@@ -311,8 +296,7 @@ class ShardWorker
         ACT_ASSERT(client < clients_.size());
         if (!clients_[client]) {
             clients_[client] = std::make_unique<ClientState>(
-                module_, config_.front, clientMemConfig(),
-                config_.lockset_blocks);
+                module_, config_.front, clientMemConfig());
         }
         return *clients_[client];
     }

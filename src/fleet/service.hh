@@ -96,15 +96,6 @@ struct FleetConfig
     /** Run the streaming batch linter on every ingested block. */
     bool lint_blocks = false;
 
-    /**
-     * Online lockset mode: run an Eraser-style lockset race detector
-     * per client over every ingested block. Per-client detectors see
-     * events in client order on every shard layout, so the distinct
-     * finding count folded into the report keeps the byte-equivalence
-     * contract. Off by default (dormant).
-     */
-    bool lockset_blocks = false;
-
     FrontEnd front = FrontEnd::kTracker;
 };
 

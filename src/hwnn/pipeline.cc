@@ -97,17 +97,6 @@ HwNeuralNetwork::HwNeuralNetwork(const HwNetworkConfig &config,
     updateSaturationBound();
 }
 
-void
-HwNeuralNetwork::setTopology(Topology topology)
-{
-    ACT_ASSERT(topology.valid());
-    ACT_ASSERT(topology.inputs <= config_.neuron.max_inputs);
-    ACT_ASSERT(topology.hidden <= config_.neuron.max_inputs);
-    topology_ = topology;
-    std::vector<double> zeros(weightCount(), 0.0);
-    loadWeights(zeros);
-}
-
 std::size_t
 HwNeuralNetwork::weightCount() const
 {

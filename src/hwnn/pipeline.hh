@@ -70,9 +70,6 @@ class HwNeuralNetwork
     const HwNetworkConfig &config() const { return config_; }
     const Topology &topology() const { return topology_; }
 
-    /** Reconfigure the logical topology (weights are zeroed). */
-    void setTopology(Topology topology);
-
     // --- Functional interface -------------------------------------
 
     /** Forward pass; output activation in (0, 1). */

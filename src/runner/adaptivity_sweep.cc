@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <map>
 
+#include "diagnosis/pipeline.hh"
+
 namespace act
 {
 
@@ -21,6 +23,17 @@ format(const char *fmt, Args... args)
 }
 
 } // namespace
+
+std::string
+adaptivityConfigLabel(const JobKnobs &knobs)
+{
+    if (knobs.hidden_neurons == 0 && !knobs.protect_weights)
+        return "baseline";
+    const std::size_t hidden = knobs.hidden_neurons > 0
+                                   ? knobs.hidden_neurons
+                                   : OfflineTrainingConfig{}.hidden_neurons;
+    return format("h%zu%s", hidden, knobs.protect_weights ? "+prot" : "");
+}
 
 bool
 campaignHasAdaptivity(const Campaign &campaign)
@@ -64,10 +77,6 @@ adaptivityOutcomes(const Campaign &campaign,
         outcome.repaired = metric(result, "repaired_weight_sets", 0.0);
         outcome.quarantined =
             metric(result, "quarantined_weight_sets", 0.0);
-        outcome.quorum_overrides =
-            metric(result, "quorum_overrides", 0.0);
-        outcome.disagreements =
-            metric(result, "ensemble_disagreements", 0.0);
         outcome.mode_switches = metric(result, "mode_switches", 0.0);
         outcomes.push_back(std::move(outcome));
     }
@@ -84,17 +93,14 @@ adaptivitySweepReport(const Campaign &campaign,
     std::string text;
     text += "table-adaptivity: diagnosis accuracy vs stored-weight "
             "fault rate\n";
-    text += format("%-10s %8s %9s %7s %6s %7s %9s %6s\n", "config",
-                   "rate", "accuracy", "repair", "quar", "ovr",
-                   "disagree", "modes");
+    text += format("%-10s %8s %9s %7s %6s %6s\n", "config", "rate",
+                   "accuracy", "repair", "quar", "modes");
 
     // Per-cell rows, in job id order (configs are contiguous blocks).
     for (const AdaptivityOutcome &o : outcomes) {
-        text += format("%-10s %8.3f %9.3f %7.0f %6.0f %7.0f %9.0f "
-                       "%6.0f\n",
+        text += format("%-10s %8.3f %9.3f %7.0f %6.0f %6.0f\n",
                        o.config.c_str(), o.fault_rate, o.accuracy,
-                       o.repaired, o.quarantined, o.quorum_overrides,
-                       o.disagreements, o.mode_switches);
+                       o.repaired, o.quarantined, o.mode_switches);
     }
 
     // Per-configuration degradation summary: accuracy lost between the
@@ -102,7 +108,7 @@ adaptivitySweepReport(const Campaign &campaign,
     // worst-case property, and the damage regime is not monotone in
     // the rate (silent in-range corruption hurts the baseline more
     // than gross corruption its quarantine catches). Smaller is
-    // better; the campaign's acceptance bar is ens+prot < baseline.
+    // better; the campaign's acceptance bar is h5+prot < baseline.
     text += "\naccuracy loss (clean -> worst swept rate), "
             "by configuration:\n";
     std::vector<std::string> configs;

@@ -4,8 +4,8 @@
  * the per-configuration accuracy-degradation table.
  *
  * A table-adaptivity campaign is a grid of independent kAdaptivity
- * jobs — configurations (baseline / ensemble / ensemble+protection)
- * crossed with stored-weight fault rates — flowing through the
+ * jobs — configurations (baseline / h5+prot) crossed with
+ * stored-weight fault rates — flowing through the
  * ordinary runner. Each job deposits its headline accuracy and the
  * module's hardening counters as flat metrics; this translation layer
  * pivots those rows into one line per configuration, with the
@@ -28,15 +28,20 @@ namespace act
 /** One kAdaptivity cell lifted back out of its flat metrics. */
 struct AdaptivityOutcome
 {
-    std::string config;      //!< baseline | ensemble | ens+prot.
+    std::string config;      //!< baseline | h5+prot (from the knobs).
     double fault_rate = 0.0;
     double accuracy = 0.0;   //!< (diagnosed + root_logged + prec) / 3.
     double repaired = 0.0;   //!< Shadow-copy weight repairs.
     double quarantined = 0.0;
-    double quorum_overrides = 0.0;
-    double disagreements = 0.0;
     double mode_switches = 0.0;
 };
+
+/**
+ * The configuration label of a kAdaptivity cell, derived from the knobs
+ * that make the configuration: "baseline" for the paper's module, else
+ * "h<hidden>" plus "+prot" under weight protection ("h5+prot").
+ */
+std::string adaptivityConfigLabel(const JobKnobs &knobs);
 
 /** True when @p campaign contains at least one kAdaptivity job. */
 bool campaignHasAdaptivity(const Campaign &campaign);

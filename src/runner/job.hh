@@ -36,7 +36,7 @@ enum class JobKind : std::uint8_t
     kDiagnosePbi,  //!< Table V PBI column.
     kResilience,   //!< Diagnose-act under an injected fault plan.
     kCorpus,       //!< table6-corpus cell: one injected-bug variant.
-    kAdaptivity    //!< table-adaptivity cell: ensembles + protection
+    kAdaptivity    //!< table-adaptivity cell: h + weight protection
                    //!< under a weight-concentrated fault plan.
 };
 
@@ -138,10 +138,8 @@ struct JobKnobs
     // Adaptivity jobs (kAdaptivity). The defaults keep every knob
     // dormant: a diagnose-act cell with these untouched is bit-
     // identical to the pre-adaptivity runner.
-    std::size_t ensemble_members = 1;  //!< Member networks (K).
     bool protect_weights = false;      //!< Selective weight protection.
-    double protect_fraction = 0.5;     //!< Fraction of sets shadowed.
-    std::size_t hidden_neurons = 0;    //!< Per-member h (0 = default).
+    std::size_t hidden_neurons = 0;    //!< Hidden layer h (0 = default).
 };
 
 /** One experiment cell. */

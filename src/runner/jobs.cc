@@ -25,6 +25,7 @@
 #include "diagnosis/pipeline.hh"
 #include "faults/fault_injector.hh"
 #include "nn/topology_search.hh"
+#include "runner/adaptivity_sweep.hh"
 #include "runner/trace_cache.hh"
 
 namespace act
@@ -245,9 +246,9 @@ runInvalidDeps(const JobSpec &spec, TraceCache &cache, JobResult &result)
  * site runs under the injector's plan; with a null injector (or an
  * all-zero plan) the computation is bit-identical to the fault-free
  * path — the resilience table's rate-0 row depends on this. The
- * adaptivity knobs (ensemble_members, protect_weights,
- * hidden_neurons) are applied only when set off their dormant
- * defaults, so every pre-existing cell is untouched. @p am_out, when
+ * adaptivity knobs (protect_weights, hidden_neurons) are applied only
+ * when set off their dormant defaults, so every pre-existing cell is
+ * untouched. @p am_out, when
  * non-null, receives the run's ActModuleStats so a caller can emit
  * extra metrics without widening the shared metric set here.
  */
@@ -288,16 +289,10 @@ runDiagnoseActImpl(const JobSpec &spec, TraceCache &cache,
     if (knobs.debug_buffer_entries > 0)
         setup.system.act.debug_buffer_entries = knobs.debug_buffer_entries;
 
-    // Adaptivity knobs, each dormant at its default. hidden_neurons
-    // shrinks the per-member layer so K members fit the M-neuron bank.
+    // Adaptivity knobs, each dormant at its default.
     if (knobs.hidden_neurons > 0)
         setup.training.hidden_neurons = knobs.hidden_neurons;
-    if (knobs.ensemble_members > 1)
-        setup.training.ensemble_members = knobs.ensemble_members;
-    if (knobs.protect_weights) {
-        setup.protection.enabled = true;
-        setup.protection.protect_fraction = knobs.protect_fraction;
-    }
+    setup.protection.enabled = knobs.protect_weights;
 
     if (inject != nullptr) {
         setup.weight_store_hook = [inject](WeightStore &store) {
@@ -490,7 +485,7 @@ runResilience(const JobSpec &spec, TraceCache &cache, JobResult &result)
 }
 
 /**
- * table-adaptivity cell: diagnose-act with the ensemble and
+ * table-adaptivity cell: diagnose-act with the hidden-layer and
  * protection knobs from the spec, under a fault plan that concentrates
  * its whole budget on stored weights — the hazard the adaptivity
  * machinery is built against. Rate 0 passes a *null* injector, so the
@@ -517,17 +512,11 @@ runAdaptivity(const JobSpec &spec, TraceCache &cache, JobResult &result)
     }
 
     result.metrics["fault_rate"] = spec.knobs.fault_rate;
-    result.metrics["ensemble_members"] =
-        static_cast<double>(spec.knobs.ensemble_members);
     result.metrics["protected"] = spec.knobs.protect_weights ? 1.0 : 0.0;
     result.metrics["repaired_weight_sets"] =
         static_cast<double>(am.repaired_weight_sets);
     result.metrics["quarantined_weight_sets"] =
         static_cast<double>(am.quarantined_weight_sets);
-    result.metrics["quorum_overrides"] =
-        static_cast<double>(am.quorum_overrides);
-    result.metrics["ensemble_disagreements"] =
-        static_cast<double>(am.ensemble_disagreements);
     result.metrics["quarantine_escalations"] =
         static_cast<double>(am.quarantine_escalations);
     result.metrics["mode_switches"] =
@@ -541,10 +530,7 @@ runAdaptivity(const JobSpec &spec, TraceCache &cache, JobResult &result)
                              log_precision) /
                             4.0;
     result.metrics["accuracy"] = accuracy;
-    result.labels["config"] =
-        spec.knobs.ensemble_members > 1
-            ? (spec.knobs.protect_weights ? "ens+prot" : "ensemble")
-            : "baseline";
+    result.labels["config"] = adaptivityConfigLabel(spec.knobs);
 }
 
 /** Table V Aviso column: failing runs fed one at a time. */

@@ -45,7 +45,7 @@ System::schedule(CoreId core, ThreadId tid)
             ActModule &am = *modules_[core];
             am.flushPipeline();
             switched_out_[running_[core]] = am.saveWeights();
-            const auto w = am.network().weightCount() * am.memberCount();
+            const auto w = am.network().weightCount();
             weight_transfer_instructions_ +=
                 IsaCostModel::weightTransferInstructions(w);
             cpu.advanceInstructions(
@@ -125,7 +125,7 @@ System::handle(const TraceEvent &event)
             // them so the binary can be patched (Section IV-C).
             ActModule &am = *modules_[core_id];
             am.exportWeights(weights_, event.tid);
-            const auto w = am.network().weightCount() * am.memberCount();
+            const auto w = am.network().weightCount();
             weight_transfer_instructions_ +=
                 IsaCostModel::weightTransferInstructions(w);
             cpu.advanceInstructions(
@@ -266,8 +266,6 @@ System::stats() const
         out.act.input_drops_injected += s.input_drops_injected;
         out.act.debug_drops_injected += s.debug_drops_injected;
         out.act.quarantined_weight_sets += s.quarantined_weight_sets;
-        out.act.quorum_overrides += s.quorum_overrides;
-        out.act.ensemble_disagreements += s.ensemble_disagreements;
         out.act.repaired_weight_sets += s.repaired_weight_sets;
         out.act.quarantine_escalations += s.quarantine_escalations;
     }

@@ -1,15 +1,18 @@
 /**
  * @file
  * Tests for the ACT Module: initialisation, online testing, Debug
- * Buffer logging, mode switching and retire back-pressure.
+ * Buffer logging, mode switching, retire back-pressure, weight export,
+ * and the differential golden pin of the whole observable behaviour.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 
 #include "act/act_module.hh"
 #include "common/fault_hooks.hh"
+#include "common/hashing.hh"
 #include "nn/trainer.hh"
 
 namespace act
@@ -458,6 +461,91 @@ TEST(ActModule, BoundArenasIsolateInterleavedStreams)
     // The streams really were different.
     EXPECT_NE(arena_a.stats.predicted_invalid,
               arena_b.stats.predicted_invalid);
+}
+
+TEST(ActModule, ExportWritesLiveRegistersAndSkipsAForeignTopology)
+{
+    PairEncoder encoder;
+    ActModule module(testConfig(), encoder);
+    module.initThread(0, trainedStore());
+
+    // The exported values are the module's live (Q15.16-quantised)
+    // registers, not the unquantised set it was initialised from.
+    WeightStore out(Topology{2, 6});
+    module.exportWeights(out, 7);
+    ASSERT_TRUE(out.get(7).has_value());
+    EXPECT_EQ(*out.get(7), module.saveWeights());
+    EXPECT_NE(*out.get(7), trainedWeights());
+    EXPECT_EQ(out.size(), 1u);
+
+    // A store of another topology cannot be patched with this set.
+    WeightStore foreign(Topology{4, 6});
+    module.exportWeights(foreign, 7);
+    EXPECT_FALSE(foreign.has(7));
+    EXPECT_EQ(foreign.size(), 0u);
+}
+
+/** Deterministic pseudo-weights in [-2, 2] (the golden generator's). */
+std::vector<double>
+pseudoWeights(std::size_t count, std::uint64_t s)
+{
+    std::vector<double> w(count);
+    for (double &x : w) {
+        s = hashCombine(s, 0x9e3779b97f4a7c15ULL);
+        x = static_cast<double>(static_cast<std::int64_t>(s % 2001) -
+                                1000) /
+            500.0;
+    }
+    return w;
+}
+
+/**
+ * Differential pin of a module with no protector and no faults: 20000
+ * deterministic dependences, hashing every observable — per-dep output
+ * bits, classification, flag, mode, final counters, Debug Buffer
+ * contents. The constant was generated on the pre-adaptivity code
+ * path; any drift in the module's behaviour (stage/commit refactor,
+ * mode latch, weight protection hook) breaks it.
+ */
+TEST(ActModule, DormantModuleMatchesGoldenHash)
+{
+    ActConfig config;
+    config.interval_length = 50; // Small, so mode switches happen.
+    PairEncoder encoder;
+    ActModule module(config, encoder);
+    WeightStore store(config.topology);
+    store.set(0, pseudoWeights(store.weightCount(), 0x5eedULL));
+    module.initThread(0, store);
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) { h = hashCombine(h, v); };
+    std::uint64_t seed = 0xac7f00dULL;
+    for (std::size_t i = 0; i < 20000; ++i) {
+        seed = hash3(seed, i, 0x1234);
+        const RawDependence dep{seed % 97, (seed >> 8) % 89,
+                                ((seed >> 16) & 1) != 0};
+        const ActOutcome out = module.onDependence(dep, 0, i);
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &out.output, sizeof(bits));
+        mix(bits);
+        mix(out.classified ? 1 : 0);
+        mix(out.predicted_invalid ? 1 : 0);
+        mix(static_cast<std::uint64_t>(module.mode()));
+    }
+    const ActModuleStats &st = module.stats();
+    mix(st.predictions);
+    mix(st.predicted_invalid);
+    mix(st.train_updates);
+    mix(st.mode_switches);
+    mix(st.training_dependences);
+    mix(st.debug_buffer_overwrites);
+    for (const auto &e : module.debugBuffer().entries()) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &e.output, sizeof(bits));
+        mix(bits);
+        mix(e.when);
+    }
+    EXPECT_EQ(h, 0x8e60fdaafd3b7bb6ULL);
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "act/weight_store.hh"
 
@@ -124,81 +126,91 @@ TEST(WeightStore, LoadRejectsAnEmptyTopologyHeader)
     std::remove(path.c_str());
 }
 
-TEST(WeightStore, MemberZeroAliasesThePlainSet)
+/**
+ * Write a well-formed store file by hand: a @p topology header and one
+ * entry of zero weights per id in @p ids, in the given order.
+ */
+std::string
+writeEntries(const char *name, Topology topology,
+             const std::vector<std::uint64_t> &ids)
 {
-    WeightStore store(Topology{3, 4});
-    std::vector<double> weights(store.weightCount(), 0.125);
-    store.set(1, weights);
-    EXPECT_TRUE(store.hasMember(1, 0));
-    EXPECT_EQ(store.getMember(1, 0), store.get(1));
-    EXPECT_EQ(store.memberCountFor(1), 1u);
-    EXPECT_TRUE(store.memberIds().empty());
-}
-
-TEST(WeightStore, MemberSetAndGetRoundTrip)
-{
-    WeightStore store(Topology{3, 4});
-    std::vector<double> w0(store.weightCount(), 0.1);
-    std::vector<double> w1(store.weightCount(), 0.2);
-    std::vector<double> w2(store.weightCount(), 0.3);
-    store.set(5, w0);
-    store.setMember(5, 1, w1);
-    store.setMember(5, 2, w2);
-
-    EXPECT_EQ(store.memberCountFor(5), 3u);
-    EXPECT_EQ(store.getMember(5, 1), w1);
-    EXPECT_EQ(store.getMember(5, 2), w2);
-    EXPECT_FALSE(store.getMember(5, 3).has_value());
-    EXPECT_FALSE(store.getMember(4, 1).has_value());
-
-    // Ids are (member << 32 | tid), sorted for audits.
-    const std::vector<std::uint64_t> ids = store.memberIds();
-    ASSERT_EQ(ids.size(), 2u);
-    EXPECT_EQ(ids[0], weightSetId(5, 1));
-    EXPECT_EQ(ids[1], weightSetId(5, 2));
-    EXPECT_LT(ids[0], ids[1]);
-}
-
-TEST(WeightStore, SaveLoadCarriesEnsembleMembers)
-{
-    WeightStore store(Topology{4, 6});
-    std::vector<double> w0(store.weightCount());
-    std::vector<double> m1(store.weightCount());
-    for (std::size_t i = 0; i < w0.size(); ++i) {
-        w0[i] = 0.01 * static_cast<double>(i);
-        m1[i] = -0.03 * static_cast<double>(i);
+    const std::string path = std::string(::testing::TempDir()) + name;
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    const std::uint64_t header[3] = {topology.inputs, topology.hidden,
+                                     ids.size()};
+    std::fwrite(header, sizeof(header), 1, file);
+    const std::vector<double> zeros(WeightStore(topology).weightCount(),
+                                    0.0);
+    for (const std::uint64_t id : ids) {
+        std::fwrite(&id, sizeof(id), 1, file);
+        std::fwrite(zeros.data(), sizeof(double), zeros.size(), file);
     }
-    store.set(0, w0);
-    store.setMember(0, 1, m1);
+    std::fclose(file);
+    return path;
+}
 
-    const std::string path =
-        std::string(::testing::TempDir()) + "weights_members.bin";
-    ASSERT_TRUE(store.save(path));
-    WeightStore loaded;
-    ASSERT_TRUE(loaded.load(path));
-    EXPECT_EQ(loaded.get(0), w0);
-    EXPECT_EQ(loaded.getMember(0, 1), m1);
-    EXPECT_EQ(loaded.memberCountFor(0), 2u);
+TEST(WeightStore, LoadRejectsAnIdBeyondThreadId)
+{
+    // 2^32 is where a multi-member store kept thread 0's second member:
+    // read as a thread id it would be truncated onto thread 0.
+    const std::string path = writeEntries(
+        "weights_wide_id.bin", Topology{4, 6}, {0, std::uint64_t{1} << 32});
+    WeightStore store;
+    EXPECT_FALSE(store.load(path));
     std::remove(path.c_str());
 }
 
-TEST(WeightStore, SingleMemberSaveStaysInThePreEnsembleFormat)
+TEST(WeightStore, LoadRejectsARepeatedId)
 {
-    // A store with no ensemble extras must serialise byte-identically
-    // to the pre-ensemble writer, so old tooling keeps reading new
-    // files (and vice versa).
-    WeightStore store(Topology{4, 6});
-    std::vector<double> w0(store.weightCount(), 0.5);
-    store.set(0, w0);
+    const std::string path =
+        writeEntries("weights_repeat.bin", Topology{4, 6}, {2, 5, 2});
+    WeightStore store;
+    EXPECT_FALSE(store.load(path));
+    std::remove(path.c_str());
+}
 
-    const std::string plain =
-        std::string(::testing::TempDir()) + "weights_plain.bin";
-    ASSERT_TRUE(store.save(plain));
+TEST(WeightStore, SaveWritesTheHeaderThenEntriesInTidOrder)
+{
+    // The byte pin of the file format: three u64 header words (inputs,
+    // hidden, entry count), then per thread in tid order a u64 id and
+    // its weightCount() doubles, native byte order.
+    WeightStore store(Topology{4, 6});
+    const std::vector<double> w3(store.weightCount(), 0.5);
+    const std::vector<double> w1(store.weightCount(), -0.25);
+    store.set(3, w3);
+    store.set(1, w1);
+
+    const std::string path =
+        std::string(::testing::TempDir()) + "weights_bytes.bin";
+    ASSERT_TRUE(store.save(path));
+    std::string expected;
+    const auto put = [&expected](const void *data, std::size_t bytes) {
+        expected.append(static_cast<const char *>(data), bytes);
+    };
+    const std::uint64_t header[3] = {4, 6, 2};
+    put(header, sizeof(header));
+    for (const auto &[id, w] : {std::pair{std::uint64_t{1}, w1},
+                                std::pair{std::uint64_t{3}, w3}}) {
+        put(&id, sizeof(id));
+        put(w.data(), w.size() * sizeof(double));
+    }
+    ASSERT_EQ(expected.size(), 3 * 8 + 2 * (8 + 37 * 8));
+
+    std::string bytes;
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(file, nullptr);
+    char chunk[512];
+    std::size_t n = 0;
+    while ((n = std::fread(chunk, 1, sizeof(chunk), file)) > 0)
+        bytes.append(chunk, n);
+    std::fclose(file);
+    EXPECT_EQ(bytes, expected);
+
     WeightStore loaded;
-    ASSERT_TRUE(loaded.load(plain));
-    EXPECT_TRUE(loaded.memberIds().empty());
-    EXPECT_EQ(loaded.get(0), w0);
-    std::remove(plain.c_str());
+    ASSERT_TRUE(loaded.load(path));
+    EXPECT_EQ(loaded.get(1), w1);
+    EXPECT_EQ(loaded.get(3), w3);
+    std::remove(path.c_str());
 }
 
 } // namespace

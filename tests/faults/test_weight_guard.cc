@@ -42,7 +42,7 @@ TEST(Sensitivity, ProbesPartitionIntoDetectableAndSilent)
     const std::vector<double> weights = rampWeights(20, 0.25);
     const WeightSensitivity s = probeWeightSensitivity(
         7, weights, 64, 0x5ead5, kHwWeightLimit);
-    EXPECT_EQ(s.set_id, 7u);
+    EXPECT_EQ(s.tid, 7u);
     EXPECT_EQ(s.probes, 64u);
     EXPECT_EQ(s.detectable + s.silent, s.probes);
     // Single-bit flips over IEEE-754 doubles hit both regimes: most
@@ -106,26 +106,9 @@ TEST(WeightGuard, GuardsTheConfiguredFractionMostSensitiveFirst)
                   guard.ranking()[i + 1].silent_damage);
     }
     for (std::size_t i = 0; i < guard.ranking().size(); ++i) {
-        EXPECT_EQ(guard.guarded(guard.ranking()[i].set_id), i < 4)
+        EXPECT_EQ(guard.guarded(guard.ranking()[i].tid), i < 4)
             << "rank " << i;
     }
-}
-
-TEST(WeightGuard, FullFractionCoversEnsembleMemberSets)
-{
-    WeightStore store = makeStore(2);
-    store.setMember(0, 1, rampWeights(store.weightCount(), 0.3));
-    store.setMember(1, 1, rampWeights(store.weightCount(), 0.35));
-    WeightProtectionConfig config;
-    config.enabled = true;
-    config.protect_fraction = 1.0;
-    const WeightGuard guard = WeightGuard::build(store, config);
-
-    EXPECT_EQ(guard.guardedCount(), 4u); // 2 member-0 + 2 extras.
-    EXPECT_TRUE(guard.guarded(weightSetId(0, 0)));
-    EXPECT_TRUE(guard.guarded(weightSetId(0, 1)));
-    EXPECT_TRUE(guard.guarded(weightSetId(1, 0)));
-    EXPECT_TRUE(guard.guarded(weightSetId(1, 1)));
 }
 
 TEST(WeightGuard, InspectRepairsAFlippedGuardedSet)
@@ -135,6 +118,7 @@ TEST(WeightGuard, InspectRepairsAFlippedGuardedSet)
     config.enabled = true;
     config.protect_fraction = 1.0;
     const WeightGuard guard = WeightGuard::build(store, config);
+    EXPECT_EQ(guard.guardedCount(), 2u); // The full fraction: every set.
 
     const std::vector<double> clean = *store.get(0);
     std::vector<double> damaged = clean;
@@ -144,7 +128,7 @@ TEST(WeightGuard, InspectRepairsAFlippedGuardedSet)
     std::memcpy(&damaged[3], &raw, sizeof(raw));
     ASSERT_NE(damaged, clean);
 
-    EXPECT_TRUE(guard.inspect(weightSetId(0, 0), damaged));
+    EXPECT_TRUE(guard.inspect(0, damaged));
     EXPECT_EQ(damaged, clean); // Shadow copy restored in place.
 }
 
@@ -156,32 +140,30 @@ TEST(WeightGuard, InspectLeavesCleanAndUnguardedSetsAlone)
     config.protect_fraction = 0.25; // ceil(0.25 x 4) = 1 guarded set.
     const WeightGuard guard = WeightGuard::build(store, config);
     ASSERT_EQ(guard.guardedCount(), 1u);
-    const std::uint64_t guarded_id = guard.ranking()[0].set_id;
+    const ThreadId guarded_tid = guard.ranking()[0].tid;
 
     // A clean guarded set verifies and is untouched.
-    std::vector<double> clean =
-        *store.get(static_cast<ThreadId>(guarded_id & 0xffffffffu));
+    std::vector<double> clean = *store.get(guarded_tid);
     const std::vector<double> before = clean;
-    EXPECT_FALSE(guard.inspect(guarded_id, clean));
+    EXPECT_FALSE(guard.inspect(guarded_tid, clean));
     EXPECT_EQ(clean, before);
 
     // An unguarded set passes through even when damaged: that is the
     // selective-protection trade-off, not a bug.
-    std::uint64_t unguarded_id = 0;
+    ThreadId unguarded_tid = 0;
     bool found = false;
     for (const WeightSensitivity &s : guard.ranking()) {
-        if (!guard.guarded(s.set_id)) {
-            unguarded_id = s.set_id;
+        if (!guard.guarded(s.tid)) {
+            unguarded_tid = s.tid;
             found = true;
             break;
         }
     }
     ASSERT_TRUE(found);
-    std::vector<double> damaged =
-        *store.get(static_cast<ThreadId>(unguarded_id & 0xffffffffu));
+    std::vector<double> damaged = *store.get(unguarded_tid);
     damaged[0] = -damaged[0];
     const std::vector<double> still = damaged;
-    EXPECT_FALSE(guard.inspect(unguarded_id, damaged));
+    EXPECT_FALSE(guard.inspect(unguarded_tid, damaged));
     EXPECT_EQ(damaged, still);
 }
 

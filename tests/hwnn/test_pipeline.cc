@@ -238,17 +238,6 @@ TEST(HwNeuralNetwork, OccupancyDrainsOverTime)
     EXPECT_EQ(hw.occupancy(100), 0u);
 }
 
-TEST(HwNeuralNetwork, SetTopologyZeroesWeights)
-{
-    HwNeuralNetwork hw(defaultHw(), Topology{6, 10});
-    std::vector<double> weights(hw.weightCount(), 0.5);
-    hw.loadWeights(weights);
-    hw.setTopology(Topology{4, 4});
-    EXPECT_EQ(hw.weightCount(), 4u * 5u + 5u);
-    const std::vector<double> in{0.1, 0.2, 0.3, 0.4};
-    EXPECT_NEAR(hw.infer(in), 0.5, 0.01); // all-zero network
-}
-
 TEST(HwNeuralNetwork, InferBatchFlatIsBitIdenticalToScalarInference)
 {
     Rng rng(9);

@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the table-adaptivity campaign and its sweep report:
- * campaign shape (configs x rates, dormant baseline, hardware budget),
- * outcome extraction, and the worst-case degradation summary.
+ * campaign shape (configs x rates, dormant baseline), configuration
+ * labels, outcome extraction, and the worst-case degradation summary.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -39,37 +40,42 @@ TEST(AdaptivityCampaign, IsRegisteredByName)
     EXPECT_STREQ(jobKindName(JobKind::kAdaptivity), "adaptivity");
 }
 
-TEST(AdaptivityCampaign, SweepsThreeConfigsAcrossFourRates)
+TEST(AdaptivityCampaign, SweepsTwoConfigsAcrossFourRates)
 {
     const Campaign campaign = makeCampaign("table-adaptivity");
-    ASSERT_EQ(campaign.jobs.size(), 12u);
+    ASSERT_EQ(campaign.jobs.size(), 8u);
 
-    std::set<double> rates;
-    std::size_t baseline = 0, ensemble = 0, protected_cells = 0;
+    std::map<std::string, std::set<double>> rates_by_config;
     for (const JobSpec &spec : campaign.jobs) {
         EXPECT_EQ(spec.kind, JobKind::kAdaptivity);
-        rates.insert(spec.knobs.fault_rate);
-        if (spec.knobs.ensemble_members == 1) {
-            ++baseline;
+        const std::string config = adaptivityConfigLabel(spec.knobs);
+        rates_by_config[config].insert(spec.knobs.fault_rate);
+        if (config == "baseline") {
             // The baseline cell is fully dormant: running it with
             // rate 0 must be the plain diagnose-act path.
             EXPECT_FALSE(spec.knobs.protect_weights);
             EXPECT_EQ(spec.knobs.hidden_neurons, 0u);
         } else {
-            ++ensemble;
-            protected_cells += spec.knobs.protect_weights ? 1 : 0;
-            // Ensemble cells must respect the M = 10 neuron budget.
-            EXPECT_GT(spec.knobs.hidden_neurons, 0u);
-            EXPECT_LE(spec.knobs.ensemble_members *
-                          spec.knobs.hidden_neurons,
-                      10u);
+            EXPECT_EQ(config, "h5+prot");
         }
     }
-    EXPECT_EQ(baseline, 4u);
-    EXPECT_EQ(ensemble, 8u);
-    EXPECT_EQ(protected_cells, 4u);
-    // The ISSUE-pinned sweep range: clean to 5%.
-    EXPECT_EQ(rates, (std::set<double>{0.0, 0.002, 0.01, 0.05}));
+    // Each configuration sweeps the same range: clean to 5%.
+    const std::set<double> rates{0.0, 0.002, 0.01, 0.05};
+    EXPECT_EQ(rates_by_config,
+              (std::map<std::string, std::set<double>>{
+                  {"baseline", rates}, {"h5+prot", rates}}));
+}
+
+TEST(AdaptivityCampaign, LabelsDeriveFromHiddenNeuronsAndProtection)
+{
+    JobKnobs knobs;
+    EXPECT_EQ(adaptivityConfigLabel(knobs), "baseline");
+    knobs.protect_weights = true;
+    EXPECT_EQ(adaptivityConfigLabel(knobs), "h10+prot");
+    knobs.hidden_neurons = 5;
+    EXPECT_EQ(adaptivityConfigLabel(knobs), "h5+prot");
+    knobs.protect_weights = false;
+    EXPECT_EQ(adaptivityConfigLabel(knobs), "h5");
 }
 
 TEST(AdaptivityCampaign, DetectionHelperSeesOnlyAdaptivityJobs)
@@ -99,10 +105,10 @@ syntheticCampaign()
 std::vector<JobResult>
 syntheticResults()
 {
-    // baseline: 1.0 -> 0.6 (loss 0.4); ens+prot: 0.9 -> 0.85 (0.05).
+    // baseline: 1.0 -> 0.6 (loss 0.4); h5+prot: 0.9 -> 0.85 (0.05).
     const double accuracy[] = {1.0, 0.6, 0.9, 0.85};
-    const char *configs[] = {"baseline", "baseline", "ens+prot",
-                             "ens+prot"};
+    const char *configs[] = {"baseline", "baseline", "h5+prot",
+                             "h5+prot"};
     std::vector<JobResult> results;
     for (std::uint32_t id = 0; id < 4; ++id) {
         JobResult result;
@@ -129,7 +135,7 @@ TEST(AdaptivitySweep, OutcomesLiftMetricsAndSkipFailedJobs)
     EXPECT_EQ(outcomes[0].config, "baseline");
     EXPECT_EQ(outcomes[0].fault_rate, 0.0);
     EXPECT_EQ(outcomes[0].accuracy, 1.0);
-    EXPECT_EQ(outcomes[2].config, "ens+prot");
+    EXPECT_EQ(outcomes[2].config, "h5+prot");
     EXPECT_EQ(outcomes[2].repaired, 5.0);
 }
 
@@ -145,8 +151,8 @@ TEST(AdaptivitySweep, ReportSummarisesWorstCaseLossPerConfig)
     EXPECT_NE(report.find("baseline       0.400 (1.000 -> 0.600 at "
                           "rate 0.050)"),
               std::string::npos);
-    // ens+prot: 0.900 -> 0.850.
-    EXPECT_NE(report.find("ens+prot       0.050 (0.900 -> 0.850 at "
+    // h5+prot: 0.900 -> 0.850.
+    EXPECT_NE(report.find("h5+prot        0.050 (0.900 -> 0.850 at "
                           "rate 0.050)"),
               std::string::npos);
 }

@@ -31,8 +31,6 @@
  *   --top K            suspects printed in the report    (default 10)
  *   --front F          tracker | mem                     (default tracker)
  *   --lint-blocks      batch-lint every ingested block
- *   --lockset-blocks   per-client online lockset race detection; the
- *                      distinct finding count lands in the report
  *
  * Exit status: 0 = ok, 1 = validation mismatch, 2 = usage error.
  */
@@ -64,8 +62,7 @@ usage()
         "  --clients N --shards N --seed S --workload NAME --scale N\n"
         "  --repeat N --duration SECS --epoch SECS\n"
         "  --backpressure block|shed --block-events N --queue-blocks N\n"
-        "  --batch N --top K --front tracker|mem --lint-blocks\n"
-        "  --lockset-blocks\n");
+        "  --batch N --top K --front tracker|mem --lint-blocks\n");
 }
 
 bool
@@ -95,8 +92,6 @@ parseFlags(int argc, char **argv, FleetConfig &config)
         double f64 = 0.0;
         if (arg == "--lint-blocks") {
             config.lint_blocks = true;
-        } else if (arg == "--lockset-blocks") {
-            config.lockset_blocks = true;
         } else if (!has_value) {
             std::fprintf(stderr, "flag needs a value: %s\n", arg.c_str());
             return false;

@@ -49,10 +49,6 @@
  *   weights <file>           validate a WeightStore blob against its
  *                            topology and the Q15.16 register range,
  *                            plus denormal/underflow hygiene warnings
- *                            [--ensemble: also check per-member set
- *                             consistency — every member set needs its
- *                             thread's member-0 set, member indices
- *                             must be contiguous]
  *
  * Exit status: 0 = clean, 1 = findings, 2 = usage or I/O error.
  */
@@ -111,11 +107,8 @@ usage()
         " catalogs\n"
         "  config                          validate the default"
         " ActConfig\n"
-        "  weights <file> [--ensemble]     validate a WeightStore blob"
-        " (with\n"
-        "                                  per-member consistency checks"
-        " under\n"
-        "                                  --ensemble)\n");
+        "  weights <file>                  validate a WeightStore"
+        " blob\n");
 }
 
 /** Print findings under a heading; returns the number of errors. */
@@ -605,7 +598,7 @@ cmdConfig()
 }
 
 int
-cmdWeights(const std::vector<std::string> &args, bool ensemble)
+cmdWeights(const std::vector<std::string> &args)
 {
     if (args.size() != 1) {
         usage();
@@ -617,13 +610,10 @@ cmdWeights(const std::vector<std::string> &args, bool ensemble)
         std::printf("%s: unreadable weight store\n", path.c_str());
         return kExitUsage;
     }
-    std::vector<Finding> findings =
-        ensemble ? validateWeightStoreEnsemble(store)
-                 : validateWeightStore(store);
-    // Hygiene pass over the member-0 sets: denormal / Q15.16-underflow
-    // warnings the hot path tolerates but a deployment should notice.
-    // (The ensemble path already runs the strict checks on the member
-    // sets; strict repeats the base errors, so keep only its warnings.)
+    std::vector<Finding> findings = validateWeightStore(store);
+    // Hygiene pass: denormal / Q15.16-underflow warnings the hot path
+    // tolerates but a deployment should notice. (Strict repeats the
+    // base errors, so keep only its warnings.)
     for (const ThreadId tid : store.tids()) {
         const auto weights = store.get(tid);
         if (!weights)
@@ -636,11 +626,10 @@ cmdWeights(const std::vector<std::string> &args, bool ensemble)
         }
     }
     const std::size_t errors = emit(path, findings);
-    std::printf("%s: %zu thread weight set(s), %zu ensemble member "
-                "set(s), topology %zux%zu, %zu error(s)\n",
-                path.c_str(), store.size(), store.memberIds().size(),
-                store.topology().inputs, store.topology().hidden,
-                errors);
+    std::printf("%s: %zu thread weight set(s), topology %zux%zu, "
+                "%zu error(s)\n",
+                path.c_str(), store.size(), store.topology().inputs,
+                store.topology().hidden, errors);
     return errors == 0 ? kExitClean : kExitFindings;
 }
 
@@ -654,7 +643,6 @@ run(int argc, char **argv)
     const std::string command = argv[1];
 
     bool show_races = false;
-    bool ensemble = false;
     std::string cache_dir;
     std::size_t block_events = 512;
     unsigned pipeline_jobs = 1;
@@ -663,8 +651,6 @@ run(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg == "--races") {
             show_races = true;
-        } else if (arg == "--ensemble") {
-            ensemble = true;
         } else if (arg == "--cache" && i + 1 < argc) {
             cache_dir = argv[++i];
         } else if (arg == "--block" && i + 1 < argc) {
@@ -698,7 +684,7 @@ run(int argc, char **argv)
     if (command == "config")
         return cmdConfig();
     if (command == "weights")
-        return cmdWeights(args, ensemble);
+        return cmdWeights(args);
     usage();
     return kExitUsage;
 }
