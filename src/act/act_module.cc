@@ -1,5 +1,7 @@
 #include "act/act_module.hh"
 
+#include <algorithm>
+
 #include "analysis/config_check.hh"
 #include "common/logging.hh"
 #include "telemetry/metrics.hh"
@@ -13,6 +15,25 @@ namespace
 
 /** Quarantines of one tid before the store is distrusted for it. */
 constexpr std::uint32_t kQuarantineEscalationThreshold = 2;
+
+/** log2 of the verdict memo's slot count. */
+constexpr unsigned kVerdictSlotBits = 11;
+
+/**
+ * Verdict-memo slot of @p sequence: a multiply-mix of its dependences'
+ * PCs and labels, top bits taken. Deterministic, with no address input.
+ */
+inline std::size_t
+verdictSlot(const DependenceSequence &sequence)
+{
+    constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+    std::uint64_t h = 0;
+    for (const RawDependence &dep : sequence.deps) {
+        h = (h ^ dep.store_pc) * kMul;
+        h = (h ^ (dep.load_pc << 1) ^ (dep.inter_thread ? 1 : 0)) * kMul;
+    }
+    return static_cast<std::size_t>(h >> (64 - kVerdictSlotBits));
+}
 
 /**
  * Gate construction on the full configuration contract. Runs before
@@ -204,11 +225,8 @@ ActModule::stageSequence(ActArena &arena, const RawDependence &dep)
     }
     if (arena.input.push(dep))
         ++arena.stats.input_buffer_overwrites;
-    if (!arena.input.lastSequence(config_.sequence_length,
-                                  arena.seq_scratch))
-        return false;
-    encoder_->encodeSequenceInto(arena.seq_scratch, arena.input_scratch);
-    return true;
+    return arena.input.lastSequence(config_.sequence_length,
+                                    arena.seq_scratch);
 }
 
 [[gnu::always_inline]] inline void
@@ -222,9 +240,8 @@ ActModule::commitSequence(ActArena &arena, bool flagged, double raw,
             // Injected Debug Buffer fault: the flagged sequence is
             // silently lost before it can be logged.
             ++arena.stats.debug_drops_injected;
-        } else if (arena.debug.log(DebugEntry{sequence, raw,
-                                              arena.stats.predictions,
-                                              tid})) {
+        } else if (arena.debug.log(sequence, raw, arena.stats.predictions,
+                                   tid)) {
             ++arena.stats.debug_buffer_overwrites;
         }
     }
@@ -266,28 +283,57 @@ ActModule::onDependence(const RawDependence &dep, ThreadId tid,
         now = accepted.retry_at;
     }
 
-    // Function: classify the sequence. In training mode all
-    // dependences are presumed valid, so the network learns the ones
-    // it would have rejected.
+    // Function: classify the sequence. The forward pass is a pure
+    // function of the encoded inputs and the weight registers, and the
+    // encoding a pure function of the dependences (a dictionary code
+    // never changes once assigned, and every dependence of a memoised
+    // sequence was encoded by the miss that filled its slot). So a slot
+    // whose dependences and register version both match holds exactly
+    // the verdict a fresh encode and forward pass would produce.
+    const DependenceSequence &sequence = arena.seq_scratch;
+    std::vector<double> &inputs = arena.input_scratch;
+    const std::size_t n = config_.sequence_length;
+    if (memo_verdicts_.empty()) [[unlikely]] {
+        memo_verdicts_.resize(std::size_t{1} << kVerdictSlotBits);
+        memo_keys_.resize(memo_verdicts_.size() * n);
+    }
+    const std::size_t slot = verdictSlot(sequence);
+    Verdict &verdict = memo_verdicts_[slot];
+    RawDependence *const key = &memo_keys_[slot * n];
+    bool encoded = false;
+    if (verdict.version == network_.version() &&
+        std::equal(sequence.deps.begin(), sequence.deps.end(), key)) {
+        ++verdict_hits_;
+    } else {
+        encoder_->encodeSequenceInto(sequence, inputs);
+        encoded = true;
+        verdict.output = network_.inferWithRaw(inputs, verdict.raw);
+        verdict.version = network_.version();
+        std::copy(sequence.deps.begin(), sequence.deps.end(), key);
+    }
+    outcome.classified = true;
+    outcome.output = verdict.output;
+    outcome.predicted_invalid = outcome.output < 0.5;
+
+    // In training mode all dependences are presumed valid, so the
+    // network learns the ones it would have rejected.
     //
     // The Debug Buffer records the raw accumulator value: the ranking
     // tie-break wants "the most negative output", which the saturated
     // sigmoid cannot resolve. In testing mode the forward pass already
     // produced it; in training mode the weights just moved, so a
     // flagged sequence's raw value is re-read from the updated network
-    // (what the hardware would log after the back-propagation pass).
-    const std::vector<double> &inputs = arena.input_scratch;
-    double raw = 0.0;
-    outcome.classified = true;
-    outcome.output = training ? network_.infer(inputs)
-                              : network_.inferWithRaw(inputs, raw);
-    outcome.predicted_invalid = outcome.output < 0.5;
+    // (what the hardware would log after the back-propagation pass),
+    // and that read refills the slot under the new register version.
     if (training && outcome.predicted_invalid) {
+        if (!encoded)
+            encoder_->encodeSequenceInto(sequence, inputs);
         network_.train(inputs, 1.0, config_.learning_rate);
         ++arena.stats.train_updates;
-        network_.inferWithRaw(inputs, raw);
+        verdict.output = network_.inferWithRaw(inputs, verdict.raw);
+        verdict.version = network_.version();
     }
-    commitSequence(arena, outcome.predicted_invalid, raw, arena.seq_scratch,
+    commitSequence(arena, outcome.predicted_invalid, verdict.raw, sequence,
                    tid);
     return outcome;
 }
@@ -300,7 +346,11 @@ ActModule::stageDependence(const RawDependence &dep)
     // engine. Callers keep the module in testing mode by construction
     // (the fleet pins the rate interval unreachably long).
     ACT_ASSERT(arena_->mode == ActMode::kTesting);
-    return stageSequence(*arena_, dep);
+    ActArena &arena = *arena_;
+    if (!stageSequence(arena, dep))
+        return false;
+    encoder_->encodeSequenceInto(arena.seq_scratch, arena.input_scratch);
+    return true;
 }
 
 StagedOutcome

@@ -29,6 +29,13 @@
  * service multiplexes hundreds of client streams over a handful of
  * shard modules exactly this way: each client owns an arena, the shard
  * owns the engine, and no mutable state is ever shared across shards.
+ *
+ * Verdict memo: onDependence keeps, per engine, a direct-mapped table
+ * of recent verdicts keyed by a sequence's exact dependences and tagged
+ * with the weight registers' version. A sequence seen again under
+ * unchanged registers takes its activation and raw accumulator from
+ * the table and skips encoding and inference; the timing model still
+ * sees every sequence.
  */
 
 #ifndef ACT_ACT_ACT_MODULE_HH
@@ -160,6 +167,12 @@ class ActModule
     DebugBuffer &debugBuffer() { return arena_->debug; }
     const HwNeuralNetwork &network() const { return network_; }
 
+    /**
+     * Sequences onDependence classified from the verdict memo (without
+     * encoding or inference), over the engine's lifetime.
+     */
+    std::uint64_t verdictHits() const { return verdict_hits_; }
+
     // --- Arena management -----------------------------------------
 
     /** A fresh arena sized for this module's configuration. */
@@ -262,8 +275,9 @@ class ActModule
     /**
      * Stage step shared by onDependence and stageDependence: count the
      * dependence, push it through the Input Generator Buffer and, once
-     * a full sequence is buffered, read and encode it into the arena
-     * scratch. @return true when a sequence was staged.
+     * a full sequence is buffered, read it into the arena scratch.
+     * Encoding is left to the caller. @return true when a sequence was
+     * formed.
      */
     inline bool stageSequence(ActArena &arena, const RawDependence &dep);
 
@@ -284,9 +298,26 @@ class ActModule
      *  Q15.16 range, count matching the topology). */
     bool weightsUsable(std::span<const double> weights) const;
 
+    /** One verdict-memo entry (its dependences live in memo_keys_). */
+    struct Verdict
+    {
+        std::uint64_t version = 0; //!< Register version; 0 = empty.
+        double output = 0.0;       //!< Output activation.
+        double raw = 0.0;          //!< Pre-sigmoid accumulator.
+    };
+
     ActConfig config_;
     std::unique_ptr<DependenceEncoder> encoder_;
     HwNeuralNetwork network_;
+
+    /**
+     * The verdict memo, allocated by the first onDependence: slot s
+     * holds memo_verdicts_[s] and the sequence_length dependences from
+     * memo_keys_[s * sequence_length].
+     */
+    std::vector<Verdict> memo_verdicts_;
+    std::vector<RawDependence> memo_keys_;
+    std::uint64_t verdict_hits_ = 0;
 
     ActArena own_arena_;
     ActArena *arena_;

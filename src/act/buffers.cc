@@ -52,18 +52,25 @@ DebugBuffer::DebugBuffer(std::size_t capacity)
 }
 
 bool
-DebugBuffer::log(DebugEntry entry)
+DebugBuffer::log(const DependenceSequence &sequence, double output,
+                 SeqNum when, ThreadId tid)
 {
     bool overwrote = false;
+    std::size_t slot = 0;
     if (size_ == capacity_) {
-        slots_[head_] = std::move(entry);
+        slot = head_;
         head_ = wrap(head_ + 1);
         ++overwrites_;
         overwrote = true;
     } else {
-        slots_[wrap(head_ + size_)] = std::move(entry);
+        slot = wrap(head_ + size_);
         ++size_;
     }
+    DebugEntry &entry = slots_[slot];
+    entry.sequence.deps.assign(sequence.deps.begin(), sequence.deps.end());
+    entry.output = output;
+    entry.when = when;
+    entry.tid = tid;
     ++total_logged_;
     return overwrote;
 }

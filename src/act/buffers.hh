@@ -7,7 +7,9 @@
  * Both are fixed-capacity rings over storage preallocated at
  * construction — the hardware they model is SRAM, and the simulator's
  * hot loop pushes one dependence per tracked load, so neither may
- * allocate after construction.
+ * allocate after construction. The Debug Buffer copies each logged
+ * sequence into its slot's existing storage, so a slot allocates only
+ * on its first fill.
  */
 
 #ifndef ACT_ACT_BUFFERS_HH
@@ -125,12 +127,15 @@ class DebugBuffer
     explicit DebugBuffer(std::size_t capacity);
 
     /**
-     * Log a flagged sequence; the oldest entry drops when full.
+     * Log a flagged sequence; the oldest entry drops when full. The
+     * sequence is copied into the slot's storage, which is reused
+     * rather than reallocated.
      *
      * @return true when the ring was saturated and the oldest entry was
      *         overwritten (that flagged sequence is lost to postmortem).
      */
-    bool log(DebugEntry entry);
+    bool log(const DependenceSequence &sequence, double output, SeqNum when,
+             ThreadId tid);
 
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return capacity_; }

@@ -110,9 +110,11 @@ WeightStore::load(const std::string &path)
     const Topology topology{inputs, hidden};
     if (!topology.valid())
         return false;
-    topology_ = topology;
-    weights_.clear();
-    const std::size_t count = weightCount();
+    // Entries are read into locals and installed only once the whole
+    // file has read cleanly, so a failed load leaves the store as it
+    // was.
+    std::unordered_map<ThreadId, std::vector<double>> weights;
+    const std::size_t count = WeightStore(topology).weightCount();
     for (std::uint64_t i = 0; i < threads; ++i) {
         std::uint64_t id = 0;
         if (std::fread(&id, sizeof(id), 1, file.get()) != 1)
@@ -121,7 +123,7 @@ WeightStore::load(const std::string &path)
         // multi-member format wrote for its extra members) or a repeated
         // id would otherwise replace another thread's set unnoticed.
         if (id > std::numeric_limits<ThreadId>::max() ||
-            weights_.count(static_cast<ThreadId>(id)) != 0) {
+            weights.count(static_cast<ThreadId>(id)) != 0) {
             return false;
         }
         std::vector<double> w(count);
@@ -129,8 +131,10 @@ WeightStore::load(const std::string &path)
             count) {
             return false;
         }
-        weights_[static_cast<ThreadId>(id)] = std::move(w);
+        weights[static_cast<ThreadId>(id)] = std::move(w);
     }
+    topology_ = topology;
+    weights_ = std::move(weights);
     return true;
 }
 

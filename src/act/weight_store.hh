@@ -68,7 +68,8 @@ class WeightStore
     /**
      * Load from a file written by save(). Returns false on I/O failure,
      * on an invalid topology header, and on an entry whose id does not
-     * fit a ThreadId or repeats an earlier entry's.
+     * fit a ThreadId or repeats an earlier entry's. All or nothing: a
+     * failed load leaves the topology and every entry unchanged.
      */
     bool load(const std::string &path);
 

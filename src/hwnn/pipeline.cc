@@ -133,6 +133,7 @@ HwNeuralNetwork::forward(std::span<const double> inputs,
 void
 HwNeuralNetwork::updateSaturationBound()
 {
+    ++version_;
     exact_input_bound_ = std::numeric_limits<std::int64_t>::max();
     for (std::size_t k = 0; k < topology_.hidden; ++k) {
         exact_input_bound_ =

@@ -117,6 +117,14 @@ class HwNeuralNetwork
     double weightAt(std::size_t index) const;
     void setWeightAt(std::size_t index, double value);
 
+    /**
+     * Version of the weight registers: it rises with every register
+     * write (construction, loadWeights, setWeightAt, train) and with
+     * nothing else, so an inference result computed under one version
+     * stays exact for as long as the version reads the same.
+     */
+    std::uint64_t version() const { return version_; }
+
     // --- Timing interface -----------------------------------------
 
     /**
@@ -162,7 +170,10 @@ class HwNeuralNetwork
      */
     HwFixed forward(std::span<const double> inputs, Activations &act) const;
 
-    /** Recompute the saturation bound; call whenever registers change. */
+    /**
+     * Recompute the saturation bound and bump the register version;
+     * call whenever registers change.
+     */
     void updateSaturationBound();
 
     /** Weight registers of hidden neuron @p k ([bias, w_1 .. w_M]). */
@@ -200,6 +211,9 @@ class HwNeuralNetwork
     /** Whether the output neuron's sum cannot saturate on any hidden
      *  activations (table values in [0, 1]). */
     bool output_exact_ = false;
+
+    /** Register version (see version()); 0 before construction ends. */
+    std::uint64_t version_ = 0;
 
     /** Completion cycles of queued inputs (front = oldest). */
     mutable std::deque<Cycle> in_flight_;

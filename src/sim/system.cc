@@ -154,6 +154,7 @@ struct SimMetrics
     telemetry::Counter stores;
     telemetry::Counter dependences;
     telemetry::Counter predictions;
+    telemetry::Counter verdict_hits;
     telemetry::Counter predicted_invalid;
     telemetry::Counter train_updates;
     telemetry::Counter mode_switches;
@@ -174,6 +175,7 @@ struct SimMetrics
             m.stores = reg.counter("mem.stores");
             m.dependences = reg.counter("act.dependences");
             m.predictions = reg.counter("act.predictions");
+            m.verdict_hits = reg.counter("act.verdict_hits");
             m.predicted_invalid = reg.counter("act.predicted_invalid");
             m.train_updates = reg.counter("act.train_updates");
             m.mode_switches = reg.counter("act.mode_switches");
@@ -224,6 +226,7 @@ System::run(const Trace &trace)
                           before.act.dependences);
         m.predictions.add(after.act.predictions -
                           before.act.predictions);
+        m.verdict_hits.add(after.verdict_hits - before.verdict_hits);
         m.predicted_invalid.add(after.act.predicted_invalid -
                                 before.act.predicted_invalid);
         m.train_updates.add(after.act.train_updates -
@@ -252,6 +255,7 @@ System::stats() const
         out.instructions += core.stats().instructions;
     }
     for (const auto &module : modules_) {
+        out.verdict_hits += module->verdictHits();
         const ActModuleStats &s = module->stats();
         out.act.dependences += s.dependences;
         out.act.predictions += s.predictions;

@@ -42,6 +42,8 @@ struct SystemStats
     std::uint64_t weight_transfer_instructions = 0;
     MemSystemStats mem;
     ActModuleStats act; //!< Summed over all modules.
+    /** Sequences classified from a verdict memo, summed over modules. */
+    std::uint64_t verdict_hits = 0;
     std::vector<Cycle> core_cycles;
 };
 

@@ -2,13 +2,15 @@
  * @file
  * Tests for the ACT Module: initialisation, online testing, Debug
  * Buffer logging, mode switching, retire back-pressure, weight export,
- * and the differential golden pin of the whole observable behaviour.
+ * the verdict memo, and the differential golden pins of the whole
+ * observable behaviour.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "act/act_module.hh"
 #include "common/fault_hooks.hh"
@@ -546,6 +548,156 @@ TEST(ActModule, DormantModuleMatchesGoldenHash)
         mix(e.when);
     }
     EXPECT_EQ(h, 0x8e60fdaafd3b7bb6ULL);
+}
+
+/** What one module made of the repeating stream below. */
+struct StreamRun
+{
+    std::uint64_t hash = 0;
+    std::uint64_t predictions = 0;
+    std::uint64_t verdict_hits = 0;
+};
+
+/**
+ * Feed 20000 dependences of a program-like stream to a module with
+ * pseudo-random weights: a loop over 12 dependences, one dependence in
+ * eight replaced by a draw from 5 stores x 4 loads x 2 labels, so most
+ * sequences repeat. Hashes every observable, as the dormant pin does,
+ * plus the logged sequences themselves.
+ */
+StreamRun
+runRepeatingStream(const DependenceEncoder &encoder)
+{
+    ActConfig config;
+    config.interval_length = 50; // Trains and switches modes.
+    config.topology = Topology{config.sequence_length * encoder.width(), 10};
+    ActModule module(config, encoder);
+    WeightStore store(config.topology);
+    store.set(0, pseudoWeights(store.weightCount(), 0x7e9eULL));
+    module.initThread(0, store);
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) { h = hashCombine(h, v); };
+    std::uint64_t seed = 0x5eed5ULL;
+    for (std::size_t i = 0; i < 20000; ++i) {
+        seed = hash3(seed, i, 0x5678);
+        const std::uint64_t k = seed % 8 == 0 ? (seed >> 8) % 40 : i % 12;
+        const RawDependence dep{0x4000 + 0x10 * (k % 5),
+                                0x4400 + 0x8 * ((k / 5) % 4), k >= 20};
+        const ActOutcome out = module.onDependence(dep, 0, i);
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &out.output, sizeof(bits));
+        mix(bits);
+        mix(out.classified ? 1 : 0);
+        mix(out.predicted_invalid ? 1 : 0);
+        mix(static_cast<std::uint64_t>(module.mode()));
+    }
+    const ActModuleStats &st = module.stats();
+    mix(st.dependences);
+    mix(st.predictions);
+    mix(st.predicted_invalid);
+    mix(st.train_updates);
+    mix(st.mode_switches);
+    mix(st.training_dependences);
+    mix(st.debug_buffer_overwrites);
+    for (const auto &e : module.debugBuffer().entries()) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &e.output, sizeof(bits));
+        mix(bits);
+        mix(e.when);
+        mix(e.sequence.key());
+    }
+    return StreamRun{h, st.predictions, module.verdictHits()};
+}
+
+/**
+ * The verdict memo must not change a bit of a module whose sequences
+ * repeat while it trains and switches modes. The constants were
+ * computed by the code before the memo existed; the dictionary run's
+ * eight codes wrap, so distinct dependences share codes.
+ */
+TEST(ActModule, RepeatingStreamMatchesGoldenHash)
+{
+    const StreamRun pair = runRepeatingStream(PairEncoder());
+    EXPECT_EQ(pair.hash, 0x01a73aa8218d9843ULL);
+    const StreamRun dict = runRepeatingStream(DictionaryEncoder(8));
+    EXPECT_EQ(dict.hash, 0x662634bdbd50e4f0ULL);
+
+    // The stream exercises the memo: most sequences hit it.
+    EXPECT_GT(pair.verdict_hits * 2, pair.predictions);
+    EXPECT_GT(dict.verdict_hits * 2, dict.predictions);
+    RecordProperty("pair_verdict_hits", std::to_string(pair.verdict_hits));
+    RecordProperty("dict_verdict_hits", std::to_string(dict.verdict_hits));
+    RecordProperty("predictions", std::to_string(pair.predictions));
+}
+
+/** The stand-alone network's output for the one-dependence @p dep. */
+double
+referenceOutput(const HwNeuralNetwork &network, const RawDependence &dep)
+{
+    PairEncoder encoder;
+    return network.infer(encoder.encodeSequence(DependenceSequence{{dep}}));
+}
+
+TEST(ActModule, RegisterWriteInvalidatesAMemoisedVerdict)
+{
+    ActConfig config = testConfig();
+    config.interval_length = 1 << 20; // No mode switch mid-test.
+    const std::vector<double> weights_a = trainedWeights();
+    std::vector<double> weights_b = weights_a;
+    for (double &w : weights_b)
+        w = -w / 2;
+    PairEncoder encoder;
+    const RawDependence dep = validDep(1);
+
+    // Testing mode: a verdict memoised under weights A must not outlive
+    // restoreWeights(B).
+    {
+        ActModule module(config, encoder);
+        module.restoreWeights(weights_a);
+        const double under_a = module.onDependence(dep, 0, 0).output;
+        EXPECT_EQ(module.onDependence(dep, 0, 1).output, under_a);
+        EXPECT_EQ(module.verdictHits(), 1u);
+
+        module.restoreWeights(weights_b);
+        HwNeuralNetwork reference(config.hw, config.topology);
+        reference.loadWeights(weights_b);
+        const double under_b = referenceOutput(reference, dep);
+        ASSERT_NE(under_b, under_a);
+        EXPECT_EQ(module.onDependence(dep, 0, 2).output, under_b);
+        EXPECT_EQ(module.verdictHits(), 1u);
+    }
+
+    // Training mode: a flagged sequence trains the network; the
+    // sequence itself and every sequence memoised before the step must
+    // read the post-training registers when replayed.
+    {
+        ActModule module(config, encoder);
+        module.initThread(5, WeightStore(config.topology));
+        ASSERT_EQ(module.mode(), ActMode::kTraining);
+        module.restoreWeights(weights_a); // Stays in training mode.
+        ASSERT_EQ(module.mode(), ActMode::kTraining);
+
+        HwNeuralNetwork reference(config.hw, config.topology);
+        reference.loadWeights(weights_a);
+        const std::vector<double> bug_inputs =
+            encoder.encodeSequence(DependenceSequence{{buggyDep()}});
+
+        const double valid_before = module.onDependence(dep, 0, 0).output;
+        EXPECT_EQ(valid_before, referenceOutput(reference, dep));
+        ASSERT_TRUE(module.onDependence(buggyDep(), 0, 1).predicted_invalid);
+        reference.train(bug_inputs, 1.0, config.learning_rate);
+
+        const double bug_after = reference.infer(bug_inputs);
+        EXPECT_EQ(module.onDependence(buggyDep(), 0, 2).output, bug_after);
+        if (bug_after < 0.5) // The replay trains once more.
+            reference.train(bug_inputs, 1.0, config.learning_rate);
+
+        const double valid_after = referenceOutput(reference, dep);
+        ASSERT_NE(valid_after, valid_before);
+        EXPECT_EQ(module.onDependence(dep, 0, 3).output, valid_after);
+        EXPECT_EQ(module.stats().train_updates, bug_after < 0.5 ? 2u : 1u);
+    }
 }
 
 } // namespace

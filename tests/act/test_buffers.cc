@@ -86,20 +86,20 @@ TEST(InputGeneratorBuffer, OverwriteAccountingUnderSaturation)
     EXPECT_FALSE(buffer.push(dep(1, 1)));
 }
 
-DebugEntry
-entry(Pc last_store, Pc last_load, double output)
+/** Log the sequence (1 -> 2, @p last_store -> @p last_load). */
+void
+logPair(DebugBuffer &buffer, Pc last_store, Pc last_load, double output)
 {
-    DebugEntry e;
-    e.sequence.deps = {dep(1, 2), dep(last_store, last_load)};
-    e.output = output;
-    return e;
+    DependenceSequence sequence;
+    sequence.deps = {dep(1, 2), dep(last_store, last_load)};
+    buffer.log(sequence, output, 0, 0);
 }
 
 TEST(DebugBuffer, LogsInOrder)
 {
     DebugBuffer buffer(60);
-    buffer.log(entry(10, 11, 0.3));
-    buffer.log(entry(20, 21, 0.2));
+    logPair(buffer, 10, 11, 0.3);
+    logPair(buffer, 20, 21, 0.2);
     EXPECT_EQ(buffer.size(), 2u);
     EXPECT_EQ(buffer.entries().front().sequence.deps.back(), dep(10, 11));
     EXPECT_EQ(buffer.entries().back().sequence.deps.back(), dep(20, 21));
@@ -110,7 +110,7 @@ TEST(DebugBuffer, RingDropsOldest)
 {
     DebugBuffer buffer(3);
     for (Pc p = 0; p < 6; ++p)
-        buffer.log(entry(p, p + 1, 0.1));
+        logPair(buffer, p, p + 1, 0.1);
     EXPECT_EQ(buffer.size(), 3u);
     EXPECT_EQ(buffer.totalLogged(), 6u);
     EXPECT_EQ(buffer.entries().front().sequence.deps.back(), dep(3, 4));
@@ -119,9 +119,9 @@ TEST(DebugBuffer, RingDropsOldest)
 TEST(DebugBuffer, PositionOfCountsFromNewest)
 {
     DebugBuffer buffer(60);
-    buffer.log(entry(10, 11, 0.3));
-    buffer.log(entry(20, 21, 0.2));
-    buffer.log(entry(30, 31, 0.1));
+    logPair(buffer, 10, 11, 0.3);
+    logPair(buffer, 20, 21, 0.2);
+    logPair(buffer, 30, 31, 0.1);
     EXPECT_EQ(buffer.positionOf(dep(30, 31)), 0u);
     EXPECT_EQ(buffer.positionOf(dep(10, 11)), 2u);
     EXPECT_FALSE(buffer.positionOf(dep(99, 99)).has_value());
@@ -130,9 +130,9 @@ TEST(DebugBuffer, PositionOfCountsFromNewest)
 TEST(DebugBuffer, PositionOfFindsMostRecentOccurrence)
 {
     DebugBuffer buffer(60);
-    buffer.log(entry(10, 11, 0.3));
-    buffer.log(entry(20, 21, 0.2));
-    buffer.log(entry(10, 11, 0.1)); // repeated root cause
+    logPair(buffer, 10, 11, 0.3);
+    logPair(buffer, 20, 21, 0.2);
+    logPair(buffer, 10, 11, 0.1); // repeated root cause
     EXPECT_EQ(buffer.positionOf(dep(10, 11)), 0u);
 }
 
@@ -144,15 +144,45 @@ TEST(DebugBuffer, ClearResetsTotalLogged)
     // compute the filter fraction.
     DebugBuffer buffer(3);
     for (Pc p = 0; p < 6; ++p)
-        buffer.log(entry(p, p + 1, 0.1));
+        logPair(buffer, p, p + 1, 0.1);
     ASSERT_EQ(buffer.totalLogged(), 6u);
 
     buffer.clear();
     EXPECT_EQ(buffer.size(), 0u);
     EXPECT_EQ(buffer.totalLogged(), 0u);
 
-    buffer.log(entry(10, 11, 0.2));
+    logPair(buffer, 10, 11, 0.2);
     EXPECT_EQ(buffer.totalLogged(), 1u);
+}
+
+TEST(DebugBuffer, SlotsTakeSequencesOfAnyLength)
+{
+    // Each log copies into its slot's existing storage, which must take
+    // the new sequence's length whether it is longer or shorter than
+    // the one it overwrites.
+    DebugBuffer buffer(2);
+    std::vector<DebugEntry> logged;
+    for (const std::size_t length : {3u, 1u, 5u, 2u}) {
+        DebugEntry e;
+        for (std::size_t i = 0; i < length; ++i)
+            e.sequence.deps.push_back(dep(10 * length + i, 100 + i));
+        e.output = -static_cast<double>(length);
+        e.when = 7 * length;
+        e.tid = static_cast<ThreadId>(length);
+        buffer.log(e.sequence, e.output, e.when, e.tid);
+        logged.push_back(e);
+    }
+    const std::vector<DebugEntry> entries = buffer.entries();
+    ASSERT_EQ(entries.size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k) {
+        const DebugEntry &want = logged[2 + k];
+        EXPECT_EQ(entries[k].sequence, want.sequence) << k;
+        EXPECT_EQ(entries[k].output, want.output) << k;
+        EXPECT_EQ(entries[k].when, want.when) << k;
+        EXPECT_EQ(entries[k].tid, want.tid) << k;
+    }
+    EXPECT_EQ(buffer.totalLogged(), 4u);
+    EXPECT_EQ(buffer.overwrites(), 2u);
 }
 
 TEST(DebugBuffer, EvictionLosesRootCause)
@@ -160,9 +190,9 @@ TEST(DebugBuffer, EvictionLosesRootCause)
     // The MySQL#1 scenario: enough later entries push the root cause
     // out of the default-sized buffer.
     DebugBuffer buffer(4);
-    buffer.log(entry(10, 11, 0.3)); // root cause
+    logPair(buffer, 10, 11, 0.3); // root cause
     for (Pc p = 100; p < 104; ++p)
-        buffer.log(entry(p, p + 1, 0.2));
+        logPair(buffer, p, p + 1, 0.2);
     EXPECT_FALSE(buffer.positionOf(dep(10, 11)).has_value());
 }
 

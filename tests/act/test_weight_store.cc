@@ -169,6 +169,34 @@ TEST(WeightStore, LoadRejectsARepeatedId)
     std::remove(path.c_str());
 }
 
+TEST(WeightStore, FailedLoadLeavesTheStoreUnchanged)
+{
+    // A 3 x 5 file whose header promises two entries but holds one
+    // (tid 7): the load must fail without touching the 4 x 6 store.
+    const std::string path = std::string(::testing::TempDir()) +
+                             "weights_truncated.bin";
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    const std::uint64_t header[4] = {3, 5, 2, 7};
+    std::fwrite(header, sizeof(header), 1, file);
+    const std::vector<double> w7(WeightStore(Topology{3, 5}).weightCount(),
+                                 0.75);
+    std::fwrite(w7.data(), sizeof(double), w7.size(), file);
+    std::fclose(file);
+
+    WeightStore store(Topology{4, 6});
+    const std::vector<double> w0(store.weightCount(), 0.5);
+    const std::vector<double> w1(store.weightCount(), -0.25);
+    store.set(0, w0);
+    store.set(1, w1);
+    EXPECT_FALSE(store.load(path));
+    EXPECT_EQ(store.topology(), (Topology{4, 6}));
+    EXPECT_EQ(store.size(), 2u);
+    EXPECT_EQ(store.get(0), w0);
+    EXPECT_EQ(store.get(1), w1);
+    EXPECT_FALSE(store.has(7));
+    std::remove(path.c_str());
+}
+
 TEST(WeightStore, SaveWritesTheHeaderThenEntriesInTidOrder)
 {
     // The byte pin of the file format: three u64 header words (inputs,

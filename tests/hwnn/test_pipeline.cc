@@ -459,6 +459,39 @@ TEST(HwNeuralNetwork, GoldenRunAcrossTheSaturationBound)
     EXPECT_EQ(h, 0x93196e1360c300bfULL);
 }
 
+TEST(HwNeuralNetwork, EveryRegisterWriteBumpsTheVersion)
+{
+    HwNeuralNetwork hw(defaultHw(), Topology{2, 3});
+    std::vector<double> weights(hw.weightCount());
+    for (std::size_t i = 0; i < weights.size(); ++i)
+        weights[i] = 0.1 * static_cast<double>(i % 7) - 0.3;
+    const std::vector<double> inputs = {0.5, -1.25};
+
+    std::uint64_t last = hw.version();
+    const auto rises = [&hw, &last] {
+        const bool rose = hw.version() > last;
+        last = hw.version();
+        return rose;
+    };
+    hw.loadWeights(weights);
+    EXPECT_TRUE(rises());
+    hw.setWeightAt(3, 0.75);
+    EXPECT_TRUE(rises());
+    hw.train(inputs, 1.0, 0.5);
+    EXPECT_TRUE(rises());
+
+    // Inference and the timing model leave the registers alone.
+    double raw = 0.0;
+    std::vector<double> outputs;
+    hw.infer(inputs);
+    hw.inferWithRaw(inputs, raw);
+    hw.inferBatchFlat(inputs, inputs.size(), 1, outputs);
+    hw.offer(0, false);
+    hw.offer(1, true);
+    hw.flush();
+    EXPECT_EQ(hw.version(), last);
+}
+
 TEST(HwNeuralNetwork, ConstInferenceIsThreadSafe)
 {
     // CI runs this under TSan, which reports any per-pass scratch state

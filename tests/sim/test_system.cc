@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
+#include "common/hashing.hh"
 #include "sim/system.hh"
 #include "workloads/workload.hh"
 
@@ -133,6 +137,92 @@ TEST(System, ContextSwitchWhenThreadsShareACore)
     system.run(simpleTrace());
     const SystemStats stats = system.stats();
     EXPECT_GT(stats.context_switches, 50u);
+}
+
+/**
+ * Two threads time-share one core in bursts of 4-43 events, so every
+ * switch restores the other thread's (retrained) weights. Each thread
+ * runs a six-event loop over two shared words, one event in eight
+ * drawn at random instead, so sequences repeat within a burst. Hashes
+ * the statistics and the collected Debug Buffer; the constant was
+ * computed by the code before the verdict memo existed.
+ */
+TEST(System, ContextSwitchRunMatchesGoldenHash)
+{
+    SystemConfig config = testConfig(true);
+    config.mem.cores = 1;
+    config.act.interval_length = 40; // Trains and switches modes.
+    WeightStore store(config.act.topology);
+    for (ThreadId tid = 0; tid < 2; ++tid) {
+        std::vector<double> w(store.weightCount());
+        std::uint64_t s = 0x51 + tid;
+        for (double &x : w) {
+            s = hashCombine(s, 0x9e3779b97f4a7c15ULL);
+            x = static_cast<double>(static_cast<std::int64_t>(s % 2001) -
+                                    1000) /
+                500.0;
+        }
+        store.set(tid, w);
+    }
+
+    Trace trace;
+    std::uint64_t seed = 0xc0ffeeULL;
+    std::uint64_t step[2] = {0, 0};
+    ThreadId tid = 0;
+    for (std::size_t i = 0; i < 12000;) {
+        seed = hash3(seed, i, 0x99);
+        const std::size_t burst = 4 + seed % 40;
+        for (std::size_t b = 0; b < burst; ++b, ++i) {
+            const std::uint64_t r = hash3(seed, b, i);
+            const std::uint64_t k =
+                r % 8 == 0 ? (r >> 8) % 12 : step[tid]++ % 6;
+            TraceEvent e;
+            e.tid = tid;
+            e.kind = k % 3 == 0 ? EventKind::kStore : EventKind::kLoad;
+            e.pc = (e.kind == EventKind::kStore ? 0x100 : 0x200) +
+                   0x10 * (k % 4) + tid;
+            e.addr = 0x1000 + 4 * ((k / 3) % 2);
+            e.gap = 2;
+            trace.append(e);
+        }
+        tid = 1 - tid;
+    }
+
+    PairEncoder encoder;
+    System system(config, encoder, store);
+    system.run(trace);
+    const SystemStats st = system.stats();
+    EXPECT_GT(st.context_switches, 400u);
+    EXPECT_GT(st.act.mode_switches, 0u);
+    EXPECT_GT(st.act.predicted_invalid, 0u);
+    EXPECT_GT(st.verdict_hits, 0u);
+    RecordProperty("verdict_hits", std::to_string(st.verdict_hits));
+    RecordProperty("predictions", std::to_string(st.act.predictions));
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) { h = hashCombine(h, v); };
+    mix(st.cycles);
+    mix(st.instructions);
+    mix(st.context_switches);
+    mix(st.weight_transfer_instructions);
+    mix(st.mem.loads);
+    mix(st.mem.writer_known);
+    for (const std::uint64_t v :
+         {st.act.dependences, st.act.predictions, st.act.predicted_invalid,
+          st.act.train_updates, st.act.mode_switches, st.act.stalled_offers,
+          st.act.stall_cycles, st.act.training_dependences,
+          st.act.debug_buffer_overwrites}) {
+        mix(v);
+    }
+    for (const DebugEntry &e : system.collectDebugEntries()) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &e.output, sizeof(bits));
+        mix(bits);
+        mix(e.when);
+        mix(e.tid);
+        mix(e.sequence.key());
+    }
+    EXPECT_EQ(h, 0x77e01fcabeabb61aULL);
 }
 
 TEST(System, NoContextSwitchWithDedicatedCores)
