@@ -84,7 +84,10 @@ applyUpdateRow(HwFixed *w, HwFixed delta, const HwFixed *inputs,
 HwNeuralNetwork::HwNeuralNetwork(const HwNetworkConfig &config,
                                  Topology topology)
     : config_(config), topology_(topology), sigmoid_(),
-      reg_stride_(config.neuron.max_inputs + 1)
+      reg_stride_(config.neuron.max_inputs + 1),
+      in_flight_(std::max<std::uint32_t>(config.fifo_entries, 1)),
+      test_service_(config.testServiceTime()),
+      train_service_(config.trainServiceTime())
 {
     ACT_ASSERT(config_.neuron.max_inputs >= 1);
     ACT_ASSERT(config_.neuron.muladd_units >= 1 &&
@@ -278,25 +281,31 @@ HwNeuralNetwork::setWeightAt(std::size_t index, double value)
 void
 HwNeuralNetwork::drain(Cycle now) const
 {
-    while (!in_flight_.empty() && in_flight_.front() <= now)
-        in_flight_.pop_front();
+    while (fifo_count_ != 0 && in_flight_[fifo_head_] <= now) {
+        if (++fifo_head_ == in_flight_.size())
+            fifo_head_ = 0;
+        --fifo_count_;
+    }
 }
 
 AcceptResult
 HwNeuralNetwork::offer(Cycle now, bool training)
 {
     drain(now);
-    if (in_flight_.size() >= config_.fifo_entries) {
+    if (fifo_count_ >= config_.fifo_entries) {
         ++rejected_;
-        return AcceptResult{false, in_flight_.front()};
+        return AcceptResult{false, in_flight_[fifo_head_]};
     }
-    const Cycle service = training ? config_.trainServiceTime()
-                                   : config_.testServiceTime();
+    const Cycle service = training ? train_service_ : test_service_;
     // S1 (FIFO insert) takes one cycle; service begins when the
     // previous input vacates the compute stages.
     const Cycle start = std::max(now + 1, last_completion_);
     last_completion_ = start + service;
-    in_flight_.push_back(last_completion_);
+    std::size_t tail = fifo_head_ + fifo_count_;
+    if (tail >= in_flight_.size())
+        tail -= in_flight_.size();
+    in_flight_[tail] = last_completion_;
+    ++fifo_count_;
     ++accepted_;
     return AcceptResult{true, 0};
 }
@@ -305,7 +314,7 @@ std::size_t
 HwNeuralNetwork::occupancy(Cycle now) const
 {
     drain(now);
-    return in_flight_.size();
+    return fifo_count_;
 }
 
 Cycle
@@ -317,7 +326,8 @@ HwNeuralNetwork::drainCycle() const
 void
 HwNeuralNetwork::flush()
 {
-    in_flight_.clear();
+    fifo_head_ = 0;
+    fifo_count_ = 0;
 }
 
 } // namespace act

@@ -19,8 +19,8 @@
 #define ACT_HWNN_PIPELINE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -215,9 +215,16 @@ class HwNeuralNetwork
     /** Register version (see version()); 0 before construction ends. */
     std::uint64_t version_ = 0;
 
-    /** Completion cycles of queued inputs (front = oldest). */
-    mutable std::deque<Cycle> in_flight_;
+    /**
+     * Completion cycles of queued inputs: a ring of fifo_entries slots
+     * (one when fifo_entries is 0), the oldest at fifo_head_.
+     */
+    mutable std::vector<Cycle> in_flight_;
+    mutable std::size_t fifo_head_ = 0;
+    mutable std::size_t fifo_count_ = 0;
     Cycle last_completion_ = 0;
+    Cycle test_service_ = 0;  //!< config_.testServiceTime().
+    Cycle train_service_ = 0; //!< config_.trainServiceTime().
 
     std::uint64_t accepted_ = 0;
     std::uint64_t rejected_ = 0;

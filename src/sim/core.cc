@@ -1,15 +1,26 @@
 #include "sim/core.hh"
 
 #include <algorithm>
+#include <bit>
+
+#include "common/logging.hh"
 
 namespace act
 {
+
+Core::Core(const CoreConfig &config)
+    : config_(config),
+      issue_shift_(static_cast<unsigned>(std::countr_zero(config.issue_width)))
+{
+    ACT_ASSERT(std::has_single_bit(config_.issue_width));
+}
 
 void
 Core::advanceInstructions(std::uint64_t count)
 {
     stats_.instructions += count;
-    cycle_ += (count + config_.issue_width - 1) / config_.issue_width;
+    // ceil(count / issue_width); a shift, as the width is a power of two.
+    cycle_ += (count + config_.issue_width - 1) >> issue_shift_;
 }
 
 void

@@ -26,7 +26,7 @@ namespace act
 /** Core parameters (Table III). */
 struct CoreConfig
 {
-    std::uint32_t issue_width = 2;
+    std::uint32_t issue_width = 2; //!< A power of two.
     std::uint32_t retire_width = 3;
     std::uint32_t rob_entries = 140;
 
@@ -48,7 +48,8 @@ struct CoreStats
 class Core
 {
   public:
-    explicit Core(const CoreConfig &config) : config_(config) {}
+    /** @pre config.issue_width is a power of two (aborts otherwise). */
+    explicit Core(const CoreConfig &config);
 
     Cycle cycle() const { return cycle_; }
     const CoreStats &stats() const { return stats_; }
@@ -73,6 +74,7 @@ class Core
 
   private:
     CoreConfig config_;
+    unsigned issue_shift_ = 0; //!< log2(issue_width).
     Cycle cycle_ = 0;
     CoreStats stats_;
 };

@@ -1,6 +1,7 @@
 #include "sim/memsys.hh"
 
 #include <algorithm>
+#include <bit>
 #include <new>
 
 #include "common/logging.hh"
@@ -20,19 +21,34 @@ mesiName(Mesi state)
     return "?";
 }
 
+template <typename T>
+std::unique_ptr<T[], MemorySystem::FreeDeleter>
+MemorySystem::alignedArray(std::size_t count)
+{
+    // aligned_alloc wants a multiple of the alignment.
+    void *block = std::aligned_alloc(64, (count * sizeof(T) + 63) / 64 * 64);
+    if (block == nullptr)
+        throw std::bad_alloc();
+    return std::unique_ptr<T[], FreeDeleter>(static_cast<T *>(block));
+}
+
 MemorySystem::MemorySystem(const MemSystemConfig &config)
     : config_(config)
 {
     ACT_ASSERT(config_.cores >= 1);
     ACT_ASSERT(config_.line_bytes >= 4 &&
-               (config_.line_bytes & (config_.line_bytes - 1)) == 0);
+               std::has_single_bit(config_.line_bytes));
 
+    // Set indices are taken by mask, so both set counts must be powers
+    // of two (every geometry in Table III and its sweeps is).
     const std::uint32_t l2_lines = config_.l2_bytes / config_.line_bytes;
     const std::uint32_t l2_sets = l2_lines / config_.l2_assoc;
-    ACT_ASSERT(l2_sets >= 1);
+    ACT_ASSERT(std::has_single_bit(l2_sets));
     const std::uint32_t l1_lines = config_.l1_bytes / config_.line_bytes;
-    const std::uint32_t l1_sets = l1_lines / config_.l1_assoc;
-    ACT_ASSERT(l1_sets >= 1);
+    l1_sets_ = l1_lines / config_.l1_assoc;
+    ACT_ASSERT(std::has_single_bit(l1_sets_));
+    l2_set_mask_ = l2_sets - 1;
+    l1_set_mask_ = l1_sets_ - 1;
 
     words_ = config_.writer_granularity == Granularity::kWord
                  ? config_.line_bytes / 4
@@ -45,114 +61,94 @@ MemorySystem::MemorySystem(const MemSystemConfig &config)
     word_mask_ = config_.writer_granularity == Granularity::kWord
                      ? config_.line_bytes - 1
                      : 0;
+    transfer_cycles_ = config_.lineTransferCycles();
 
-    l2_.resize(config_.cores);
-    l1_.resize(config_.cores);
-    for (CoreId c = 0; c < config_.cores; ++c) {
-        l2_[c].sets = l2_sets;
-        l2_[c].assoc = config_.l2_assoc;
-        const auto l2_entries =
-            static_cast<std::size_t>(l2_sets) * config_.l2_assoc;
-        l2_[c].lines.resize(l2_entries);
-        void *writers =
-            std::malloc(l2_entries * words_ * sizeof(WriterRecord));
-        if (writers == nullptr)
-            throw std::bad_alloc();
-        l2_[c].writers.reset(static_cast<WriterRecord *>(writers));
+    const std::size_t l2_total =
+        static_cast<std::size_t>(config_.cores) * l2_sets * config_.l2_assoc;
+    l2_tags_ = alignedArray<std::uint64_t>(l2_total);
+    std::fill_n(l2_tags_.get(), l2_total, packTag(0, Mesi::kInvalid));
+    l2_lru_ = alignedArray<std::uint64_t>(l2_total);
+    std::fill_n(l2_lru_.get(), l2_total, 0);
+    writers_ = alignedArray<WriterRecord>(l2_total * words_);
 
-        l1_[c].sets = l1_sets;
-        l1_[c].assoc = config_.l1_assoc;
-        const auto n = static_cast<std::size_t>(l1_sets) *
-                       config_.l1_assoc;
-        l1_[c].tags.assign(n, 0);
-        l1_[c].valid.assign(n, 0);
-        l1_[c].lru.assign(n, 0);
-    }
+    const std::size_t l1_total =
+        static_cast<std::size_t>(config_.cores) * l1_sets_ * config_.l1_assoc;
+    l1_tags_ = alignedArray<std::uint64_t>(l1_total);
+    std::fill_n(l1_tags_.get(), l1_total, 0);
+    l1_lru_ = alignedArray<std::uint64_t>(l1_total);
+    std::fill_n(l1_lru_.get(), l1_total, 0);
 }
 
-MemorySystem::Line *
-MemorySystem::findLine(CoreId core, Addr line_addr)
+std::size_t
+MemorySystem::findLine(CoreId core, Addr line_addr) const
 {
-    CacheArray &array = l2_[core];
-    const std::uint32_t set =
-        static_cast<std::uint32_t>(line_addr % array.sets);
-    Line *base = &array.lines[static_cast<std::size_t>(set) * array.assoc];
-    for (std::uint32_t w = 0; w < array.assoc; ++w) {
-        Line &line = base[w];
-        if (line.state != Mesi::kInvalid && line.tag == line_addr)
-            return &line;
+    const std::size_t base = l2Ways(core, line_addr);
+    const std::uint64_t *ways = l2_tags_.get() + base;
+    const std::uint64_t want = packTag(line_addr, Mesi::kInvalid);
+    for (std::uint32_t w = 0; w < config_.l2_assoc; ++w) {
+        // Equal addresses leave only the state bits, and a match needs
+        // a valid state: 1..3, so (x - 1) < 3 with 0 wrapping high.
+        if ((ways[w] ^ want) - 1 < kStateMask)
+            return base + w;
     }
-    return nullptr;
+    return kNoLine;
 }
 
-MemorySystem::Line &
+std::size_t
 MemorySystem::victimLine(CoreId core, Addr line_addr)
 {
-    CacheArray &array = l2_[core];
-    const std::uint32_t set =
-        static_cast<std::uint32_t>(line_addr % array.sets);
-    Line *base = &array.lines[static_cast<std::size_t>(set) * array.assoc];
-    Line *victim = base;
-    for (std::uint32_t w = 0; w < array.assoc; ++w) {
-        Line &line = base[w];
-        if (line.state == Mesi::kInvalid)
-            return line;
-        if (line.lru < victim->lru)
-            victim = &line;
+    const std::size_t base = l2Ways(core, line_addr);
+    std::size_t victim = base;
+    for (std::size_t i = base; i < base + config_.l2_assoc; ++i) {
+        if (tagState(l2_tags_[i]) == Mesi::kInvalid)
+            return i;
+        if (l2_lru_[i] < l2_lru_[victim])
+            victim = i;
     }
     // Evict: per Section V, last-writer metadata is not written back
     // to memory (unless the ablation flag says otherwise, in which
     // case this model simply keeps no record either way — the flag
     // exists to quantify the dependence-loss rate). The caller's
-    // install clears the victim's writer block.
+    // install rewrites the victim's tag word and clears its writer
+    // block.
     ++stats_.evictions;
-    l1Invalidate(core, victim->tag);
-    victim->state = Mesi::kInvalid;
-    return *victim;
+    l1Invalidate(core, l2_tags_[victim] >> kStateBits);
+    return victim;
 }
 
 bool
-MemorySystem::l1Lookup(CoreId core, Addr line_addr, bool allocate)
+MemorySystem::l1Lookup(CoreId core, Addr line_addr)
 {
-    L1Array &array = l1_[core];
-    const std::uint32_t set =
-        static_cast<std::uint32_t>(line_addr % array.sets);
-    const std::size_t base = static_cast<std::size_t>(set) * array.assoc;
-    for (std::uint32_t w = 0; w < array.assoc; ++w) {
-        if (array.valid[base + w] != 0 &&
-            array.tags[base + w] == line_addr) {
-            array.lru[base + w] = ++tick_;
+    const std::size_t base = l1Ways(core, line_addr);
+    const std::uint64_t want = l1Tag(line_addr);
+    for (std::size_t i = base; i < base + config_.l1_assoc; ++i) {
+        if (l1_tags_[i] == want) {
+            l1_lru_[i] = ++tick_;
             return true;
         }
     }
-    if (!allocate)
-        return false;
     std::size_t victim = base;
-    for (std::uint32_t w = 0; w < array.assoc; ++w) {
-        const std::size_t i = base + w;
-        if (array.valid[i] == 0) {
+    for (std::size_t i = base; i < base + config_.l1_assoc; ++i) {
+        if (l1_tags_[i] == 0) {
             victim = i;
             break;
         }
-        if (array.lru[i] < array.lru[victim])
+        if (l1_lru_[i] < l1_lru_[victim])
             victim = i;
     }
-    array.tags[victim] = line_addr;
-    array.valid[victim] = 1;
-    array.lru[victim] = ++tick_;
+    l1_tags_[victim] = want;
+    l1_lru_[victim] = ++tick_;
     return false;
 }
 
 void
 MemorySystem::l1Invalidate(CoreId core, Addr line_addr)
 {
-    L1Array &array = l1_[core];
-    const std::uint32_t set =
-        static_cast<std::uint32_t>(line_addr % array.sets);
-    const std::size_t base = static_cast<std::size_t>(set) * array.assoc;
-    for (std::uint32_t w = 0; w < array.assoc; ++w) {
-        if (array.valid[base + w] != 0 && array.tags[base + w] == line_addr)
-            array.valid[base + w] = 0;
+    const std::size_t base = l1Ways(core, line_addr);
+    const std::uint64_t want = l1Tag(line_addr);
+    for (std::size_t i = base; i < base + config_.l1_assoc; ++i) {
+        if (l1_tags_[i] == want)
+            l1_tags_[i] = 0;
     }
 }
 
@@ -167,27 +163,27 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
     const std::uint32_t word = wordIndex(event.addr);
 
     MemAccess result;
-    Line *line = findLine(core, laddr);
-    result.prior_state = line ? line->state : Mesi::kInvalid;
+    const std::size_t line = findLine(core, laddr);
+    const Mesi state =
+        line != kNoLine ? tagState(l2_tags_[line]) : Mesi::kInvalid;
+    result.prior_state = state;
 
     if (is_store)
         ++stats_.stores;
     else
         ++stats_.loads;
 
-    const bool l1_hit = l1Lookup(core, laddr, /*allocate=*/true) &&
-                        line != nullptr;
+    const bool l1_hit = l1Lookup(core, laddr) && line != kNoLine;
 
-    if (line != nullptr &&
-        (is_store ? line->state == Mesi::kModified ||
-                        line->state == Mesi::kExclusive
+    if (line != kNoLine &&
+        (is_store ? state == Mesi::kModified || state == Mesi::kExclusive
                   : true)) {
         // Local hit (loads hit in any valid state; stores need
         // ownership).
-        line->lru = ++tick_;
-        WriterRecord *writers = lineWriters(l2_[core], line);
+        l2_lru_[line] = ++tick_;
+        WriterRecord *writers = lineWriters(line);
         if (is_store) {
-            line->state = Mesi::kModified;
+            l2_tags_[line] = packTag(laddr, Mesi::kModified);
             writers[word] = WriterRecord{event.pc, event.tid};
             if (config_.writeback_writer_metadata) {
                 auto &mem = memory_writers_[laddr];
@@ -220,41 +216,41 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
     }
 
     // Miss or upgrade: snoop the other cores.
-    Line *owner = nullptr;
-    CoreId owner_core = kInvalidCore;
+    std::size_t owner = kNoLine;
     bool owner_was_modified = false;
     bool any_sharer = false;
     for (CoreId c = 0; c < config_.cores; ++c) {
         if (c == core)
             continue;
-        if (Line *remote = findLine(c, laddr)) {
-            any_sharer = true;
-            if (remote->state == Mesi::kModified ||
-                remote->state == Mesi::kExclusive) {
-                owner = remote;
-                owner_core = c;
-                owner_was_modified = remote->state == Mesi::kModified;
-            }
-            if (is_store) {
-                remote->state = Mesi::kInvalid;
-                l1Invalidate(c, laddr);
-                ++stats_.invalidations;
-            } else if (remote->state == Mesi::kModified ||
-                       remote->state == Mesi::kExclusive) {
-                remote->state = Mesi::kShared;
-            }
+        const std::size_t remote = findLine(c, laddr);
+        if (remote == kNoLine)
+            continue;
+        any_sharer = true;
+        const Mesi remote_state = tagState(l2_tags_[remote]);
+        const bool owns = remote_state == Mesi::kModified ||
+                          remote_state == Mesi::kExclusive;
+        if (owns) {
+            owner = remote;
+            owner_was_modified = remote_state == Mesi::kModified;
+        }
+        if (is_store) {
+            l2_tags_[remote] = packTag(laddr, Mesi::kInvalid);
+            l1Invalidate(c, laddr);
+            ++stats_.invalidations;
+        } else if (owns) {
+            l2_tags_[remote] = packTag(laddr, Mesi::kShared);
         }
     }
 
-    const bool upgrade = line != nullptr; // store to an S line
-    Line &dest = upgrade ? *line : victimLine(core, laddr);
-    WriterRecord *dest_writers = lineWriters(l2_[core], &dest);
+    const bool upgrade = line != kNoLine; // store to an S line
+    const std::size_t dest = upgrade ? line : victimLine(core, laddr);
+    WriterRecord *dest_writers = lineWriters(dest);
     if (!upgrade) {
-        // The only clear of a writer block (see CacheArray::writers).
-        dest.tag = laddr;
+        // The only clear of a writer block (see writers_).
+        l2_tags_[dest] = packTag(laddr, Mesi::kInvalid);
         std::fill_n(dest_writers, words_, WriterRecord{});
     }
-    dest.lru = ++tick_;
+    l2_lru_[dest] = ++tick_;
 
     const Cycle base_latency = config_.l1_latency + config_.l2_latency;
 
@@ -262,18 +258,17 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
     // only when the response is a dirty cache-to-cache transfer; the
     // ablation flags extend that to clean sharers and to memory.
     bool piggybacked = false;
-    if (owner != nullptr && !is_store &&
+    if (owner != kNoLine && !is_store &&
         (owner_was_modified || config_.always_piggyback_writer)) {
-        std::copy_n(lineWriters(l2_[owner_core], owner), words_,
-                    dest_writers);
+        std::copy_n(lineWriters(owner), words_, dest_writers);
         piggybacked = true;
     } else if (!is_store && config_.always_piggyback_writer) {
         for (CoreId c = 0; c < config_.cores && !piggybacked; ++c) {
             if (c == core)
                 continue;
-            if (Line *remote = findLine(c, laddr)) {
-                std::copy_n(lineWriters(l2_[c], remote), words_,
-                            dest_writers);
+            const std::size_t remote = findLine(c, laddr);
+            if (remote != kNoLine) {
+                std::copy_n(lineWriters(remote), words_, dest_writers);
                 piggybacked = true;
             }
         }
@@ -308,9 +303,11 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
         }
     }
 
-    if (owner != nullptr) {
+    // An S->M upgrade moves no data but, like a fill, is charged the
+    // memory latency and counted in memory_fetches (DESIGN.md §9).
+    if (owner != kNoLine) {
         result.level = AccessLevel::kRemote;
-        result.latency = base_latency + config_.lineTransferCycles() + 4;
+        result.latency = base_latency + transfer_cycles_ + 4;
         ++stats_.cache_to_cache;
     } else {
         result.level = AccessLevel::kMemory;
@@ -319,7 +316,7 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
     }
 
     if (is_store) {
-        dest.state = Mesi::kModified;
+        l2_tags_[dest] = packTag(laddr, Mesi::kModified);
         dest_writers[word] = WriterRecord{event.pc, event.tid};
         if (config_.writeback_writer_metadata) {
             auto &mem = memory_writers_[laddr];
@@ -327,7 +324,8 @@ MemorySystem::access(CoreId core, const TraceEvent &event)
             mem[word] = dest_writers[word];
         }
     } else {
-        dest.state = any_sharer ? Mesi::kShared : Mesi::kExclusive;
+        l2_tags_[dest] =
+            packTag(laddr, any_sharer ? Mesi::kShared : Mesi::kExclusive);
         if (piggybacked && dest_writers[word].valid())
             result.last_writer = dest_writers[word];
         if (result.last_writer)
@@ -343,10 +341,8 @@ Mesi
 MemorySystem::stateOf(CoreId core, Addr addr) const
 {
     ACT_ASSERT(core < config_.cores);
-    const Addr laddr = lineAddr(addr);
-    const Line *line =
-        const_cast<MemorySystem *>(this)->findLine(core, laddr);
-    return line ? line->state : Mesi::kInvalid;
+    const std::size_t line = findLine(core, lineAddr(addr));
+    return line != kNoLine ? tagState(l2_tags_[line]) : Mesi::kInvalid;
 }
 
 } // namespace act

@@ -12,11 +12,18 @@
  *    written back to memory);
  *  - piggybacking: metadata travels only with cache-to-cache transfers
  *    of dirty lines (a read miss served by another cache's M line).
+ *
+ * Storage is laid out for the host, not the modelled machine: every
+ * core's L2 tags share one flat, set-major array of packed
+ * address+state words, the L1 tags carry their own valid bit, set
+ * indices are masks, and the last-writer records of every L2 line sit
+ * in one arena indexed like the tags (DESIGN.md §9).
  */
 
 #ifndef ACT_SIM_MEMSYS_HH
 #define ACT_SIM_MEMSYS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -155,49 +162,37 @@ class MemorySystem
     Mesi stateOf(CoreId core, Addr addr) const;
 
   private:
-    /**
-     * One L2 line's coherence metadata. Last-writer records live in
-     * the owning CacheArray's flat arena (one block of `words` records
-     * per line, indexed by line position) instead of a per-line vector:
-     * the access path is the simulator's hottest loop and per-line heap
-     * nodes cost an extra cache miss per touch.
-     */
-    struct Line
-    {
-        Addr tag = 0;
-        Mesi state = Mesi::kInvalid;
-        std::uint64_t lru = 0;
-    };
-
-    /** Releases a std::malloc'ed block. */
+    /** Releases a std::aligned_alloc'ed block. */
     struct FreeDeleter
     {
         void operator()(void *block) const { std::free(block); }
     };
 
-    struct CacheArray
-    {
-        std::uint32_t sets = 0;
-        std::uint32_t assoc = 0;
-        std::vector<Line> lines; //!< sets * assoc, set-major.
-        /**
-         * Last writer per word, lines * words, line-major. Left
-         * uninitialised: a line's block is cleared when the line is
-         * installed and read only while the line is valid, so building
-         * a model never touches the blocks a short trace leaves unused.
-         */
-        std::unique_ptr<WriterRecord[], FreeDeleter> writers;
-    };
+    /**
+     * @p count uninitialised Ts in a std::aligned_alloc'ed block that
+     * starts on a host cache line.
+     */
+    template <typename T>
+    static std::unique_ptr<T[], FreeDeleter> alignedArray(std::size_t count);
 
-    struct L1Array
+    /** Returned by findLine when the line is absent. */
+    static constexpr std::size_t kNoLine = ~std::size_t{0};
+
+    /** Low bits of an L2 tag word that hold its Mesi state. */
+    static constexpr unsigned kStateBits = 2;
+    static constexpr std::uint64_t kStateMask = (1u << kStateBits) - 1;
+
+    static std::uint64_t
+    packTag(Addr line_addr, Mesi state)
     {
-        std::uint32_t sets = 0;
-        std::uint32_t assoc = 0;
-        std::vector<Addr> tags;            //!< sets * assoc.
-        std::vector<std::uint8_t> valid;   //!< Byte flags (bit-packed
-                                           //!< vector<bool> is slower).
-        std::vector<std::uint64_t> lru;
-    };
+        return line_addr << kStateBits | static_cast<std::uint64_t>(state);
+    }
+
+    static Mesi
+    tagState(std::uint64_t tag)
+    {
+        return static_cast<Mesi>(tag & kStateMask);
+    }
 
     Addr lineAddr(Addr addr) const
     {
@@ -209,30 +204,84 @@ class MemorySystem
         return static_cast<std::uint32_t>(addr & word_mask_) >> 2;
     }
 
-    /** The arena block of @p line (always `words_` records). */
-    WriterRecord *
-    lineWriters(CacheArray &array, const Line *line)
+    /** Line index of way 0 of @p core's copy of @p line_addr's set. */
+    std::size_t
+    l2Ways(CoreId core, Addr line_addr) const
     {
-        return array.writers.get() +
-               static_cast<std::size_t>(line - array.lines.data()) *
-                   words_;
+        return (static_cast<std::size_t>(line_addr & l2_set_mask_) *
+                    config_.cores +
+                core) *
+               config_.l2_assoc;
     }
 
-    Line *findLine(CoreId core, Addr line_addr);
-    Line &victimLine(CoreId core, Addr line_addr);
+    /** Index of way 0 of @p core's L1 set for @p line_addr. */
+    std::size_t
+    l1Ways(CoreId core, Addr line_addr) const
+    {
+        return (static_cast<std::size_t>(core) * l1_sets_ +
+                (line_addr & l1_set_mask_)) *
+               config_.l1_assoc;
+    }
 
-    bool l1Lookup(CoreId core, Addr line_addr, bool allocate);
+    /** The L1 tag word of a valid way holding @p line_addr. */
+    static std::uint64_t l1Tag(Addr line_addr) { return line_addr << 1 | 1; }
+
+    /** The arena block of line @p line (always `words_` records). */
+    WriterRecord *
+    lineWriters(std::size_t line)
+    {
+        return writers_.get() + line * words_;
+    }
+
+    /** @p core's line holding @p line_addr, or kNoLine. */
+    std::size_t findLine(CoreId core, Addr line_addr) const;
+    /** The way @p core installs @p line_addr into (evicting if full). */
+    std::size_t victimLine(CoreId core, Addr line_addr);
+
+    bool l1Lookup(CoreId core, Addr line_addr);
     void l1Invalidate(CoreId core, Addr line_addr);
 
     MemSystemConfig config_;
     MemSystemStats stats_;
-    std::vector<CacheArray> l2_;
-    std::vector<L1Array> l1_;
-    std::uint64_t tick_ = 0; //!< LRU clock.
+    std::uint64_t tick_ = 0; //!< LRU clock, shared by every L1 and L2.
 
-    std::uint32_t words_ = 1;     //!< Writer records per line.
+    /*
+     * Every array below starts on a host cache line (alignedArray).
+     *
+     * Every core's L2 tags in one set-major array: line index
+     * ((set * cores) + core) * assoc + way. Each word is
+     * packTag(line address, state); a probe matches only a valid
+     * state, so an invalidated way keeps its stale address harmlessly.
+     * With 8 ways one core's copy of a set is one host cache line, and
+     * a snoop reads the other cores' copies from the same block of
+     * neighbouring lines.
+     */
+    std::unique_ptr<std::uint64_t[], FreeDeleter> l2_tags_;
+    /** LRU stamp per L2 line, same index; read only for valid lines. */
+    std::unique_ptr<std::uint64_t[], FreeDeleter> l2_lru_;
+    /**
+     * Last writer per word, lines * words, indexed by line index. Left
+     * uninitialised: a line's block is cleared when the line is
+     * installed and read only while the line is valid, so building a
+     * model never touches the blocks a short trace leaves unused.
+     */
+    std::unique_ptr<WriterRecord[], FreeDeleter> writers_;
+    Addr l2_set_mask_ = 0; //!< L2 sets - 1.
+
+    /**
+     * L1 tags, core-major: ((core * sets) + set) * assoc + way. Each
+     * word is (line address << 1) | 1, and 0 marks an invalid way.
+     */
+    std::unique_ptr<std::uint64_t[], FreeDeleter> l1_tags_;
+    /** LRU stamp per L1 way, same index. */
+    std::unique_ptr<std::uint64_t[], FreeDeleter> l1_lru_;
+    std::uint32_t l1_sets_ = 1;
+    Addr l1_set_mask_ = 0; //!< L1 sets - 1.
+
+    std::uint32_t words_ = 1;      //!< Writer records per line.
     std::uint32_t line_shift_ = 6; //!< log2(line_bytes).
     Addr word_mask_ = 63;          //!< line_bytes - 1.
+    Cycle transfer_cycles_ = 2;    //!< config_.lineTransferCycles().
 
     /** Memory-resident metadata (writeback_writer_metadata only). */
     std::unordered_map<Addr, std::vector<WriterRecord>> memory_writers_;

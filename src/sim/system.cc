@@ -1,6 +1,7 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "telemetry/metrics.hh"
@@ -13,6 +14,7 @@ System::System(const SystemConfig &config, const DependenceEncoder &encoder,
                const WeightStore &weights)
     : config_(config), mem_(config.mem), weights_(weights)
 {
+    ACT_ASSERT(std::has_single_bit(config_.mem.cores));
     cores_.assign(config_.mem.cores, Core(config_.core));
     running_.assign(config_.mem.cores, kInvalidThread);
     if (config_.act_enabled) {
@@ -26,6 +28,7 @@ System::System(const SystemConfig &config, const DependenceEncoder &encoder,
 System::System(const SystemConfig &config)
     : config_(config), mem_(config.mem)
 {
+    ACT_ASSERT(std::has_single_bit(config_.mem.cores));
     config_.act_enabled = false;
     cores_.assign(config_.mem.cores, Core(config_.core));
     running_.assign(config_.mem.cores, kInvalidThread);

@@ -54,7 +54,8 @@ class System
 {
   public:
     /**
-     * @param config  Machine parameters.
+     * @param config  Machine parameters; config.mem.cores must be a
+     *                power of two (aborts otherwise).
      * @param encoder Prototype dependence encoder for the AMs.
      * @param weights Binary-resident weights (copied; updated weights
      *                are readable via weightStore() after the run).
@@ -89,9 +90,10 @@ class System
     const MemorySystem &memory() const { return mem_; }
 
   private:
+    /** tid mod cores, as a mask: the core count is a power of two. */
     CoreId coreOf(ThreadId tid) const
     {
-        return tid % config_.mem.cores;
+        return tid & (config_.mem.cores - 1);
     }
 
     /** Make @p tid the thread running on @p core (switch if needed). */

@@ -6,14 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <span>
+#include <string>
 #include <thread>
 
 #include "analysis/config_check.hh"
 #include "common/hashing.hh"
+#include "common/rng.hh"
 #include "hwnn/neuron.hh"
 #include "hwnn/pipeline.hh"
 #include "nn/trainer.hh"
@@ -162,14 +166,50 @@ TEST(HwNeuralNetwork, TimingAcceptsAtLineRateWhenIdle)
     EXPECT_EQ(hw.acceptedCount(), 2u);
 }
 
-TEST(HwNeuralNetwork, FifoFillsAndBackpressures)
+/** The FIFO timing model over a deque, as it was before the ring. */
+struct FifoReference
 {
+    std::uint32_t entries;
+    Cycle test_service;
+    Cycle train_service;
+    std::deque<Cycle> in_flight;
+    Cycle last_completion = 0;
+
+    void
+    drain(Cycle now)
+    {
+        while (!in_flight.empty() && in_flight.front() <= now)
+            in_flight.pop_front();
+    }
+
+    AcceptResult
+    offer(Cycle now, bool training)
+    {
+        drain(now);
+        if (in_flight.size() >= entries)
+            return AcceptResult{false, in_flight.front()};
+        const Cycle start = std::max(now + 1, last_completion);
+        last_completion = start + (training ? train_service : test_service);
+        in_flight.push_back(last_completion);
+        return AcceptResult{true, 0};
+    }
+};
+
+/** FIFO depths: fig9's sweep {4, 8, 16} and the minimum, 1. */
+class HwNeuralNetworkFifo : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(HwNeuralNetworkFifo, FillsAndBackpressures)
+{
+    const std::uint32_t entries = GetParam();
     HwNetworkConfig config = defaultHw();
-    config.fifo_entries = 4;
+    config.fifo_entries = entries;
     HwNeuralNetwork hw(config, Topology{6, 10});
     // All offers at cycle 0: the pipe drains one per T = 7 cycles.
-    for (int i = 0; i < 4; ++i)
+    for (std::uint32_t i = 0; i < entries; ++i)
         EXPECT_TRUE(hw.offer(0, false).accepted) << i;
+    EXPECT_EQ(hw.occupancy(0), entries);
     const AcceptResult rejected = hw.offer(0, false);
     EXPECT_FALSE(rejected.accepted);
     // The oldest input completes at 1 + 7 (S1 insert + service).
@@ -177,7 +217,42 @@ TEST(HwNeuralNetwork, FifoFillsAndBackpressures)
     EXPECT_EQ(hw.rejectedCount(), 1u);
     // Retrying at the advertised cycle succeeds.
     EXPECT_TRUE(hw.offer(rejected.retry_at, false).accepted);
+    EXPECT_EQ(hw.occupancy(rejected.retry_at), entries);
+
+    // A seeded stream that outpaces the service time keeps the FIFO
+    // full across many laps of the ring, with flushes; every answer
+    // must match the deque model.
+    HwNeuralNetwork ring(config, Topology{6, 10});
+    FifoReference reference{entries, config.testServiceTime(),
+                            config.trainServiceTime(), {}};
+    Rng rng(0xf1f0 + entries);
+    Cycle now = 0;
+    for (int i = 0; i < 3000; ++i) {
+        SCOPED_TRACE(i);
+        const bool training = rng.next(5) == 0;
+        const AcceptResult got = ring.offer(now, training);
+        const AcceptResult want = reference.offer(now, training);
+        ASSERT_EQ(got.accepted, want.accepted);
+        ASSERT_EQ(got.retry_at, want.retry_at);
+        ASSERT_EQ(ring.occupancy(now), reference.in_flight.size());
+        ASSERT_EQ(ring.drainCycle(), reference.last_completion);
+        now = !got.accepted && rng.next(2) == 0 ? got.retry_at
+                                                : now + rng.next(4);
+        if (i % 1000 == 999) {
+            ring.flush();
+            reference.in_flight.clear();
+            ASSERT_EQ(ring.occupancy(now), 0u);
+        }
+    }
+    EXPECT_GT(ring.rejectedCount(), 1000u);
+    EXPECT_GT(ring.acceptedCount(), 500u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FifoEntries, HwNeuralNetworkFifo, ::testing::Values(1u, 4u, 8u, 16u),
+    [](const ::testing::TestParamInfo<std::uint32_t> &info) {
+        return std::to_string(info.param);
+    });
 
 TEST(HwNeuralNetwork, SteadyStateThroughputIsServiceTime)
 {

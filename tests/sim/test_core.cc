@@ -31,6 +31,17 @@ TEST(Core, WiderIssue)
     EXPECT_EQ(core.cycle(), 3u); // ceil(10/4)
 }
 
+TEST(CoreDeathTest, NonPowerOfTwoIssueWidthAborts)
+{
+    // The issue width divides by shifting, so it must be a power of
+    // two.
+    for (const std::uint32_t width : {0u, 3u, 6u}) {
+        CoreConfig config;
+        config.issue_width = width;
+        EXPECT_DEATH({ Core core(config); }, "assertion failed") << width;
+    }
+}
+
 TEST(Core, LoadExposesLatencyMinusOne)
 {
     Core core(CoreConfig{});

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hh"
 #include "sim/memsys.hh"
 
 namespace act
@@ -275,6 +279,200 @@ TEST(MemorySystem, FilledLinesNeverShowEarlierWriters)
     }
     EXPECT_EQ(fresh.stats().invalidations, invalidations_before + 64);
     EXPECT_EQ(stale, 0u) << "after remote invalidation";
+}
+
+/** Cycles through no fault, a dropped and a stale transfer. */
+class CyclingWriterFaults : public FaultHooks
+{
+  public:
+    WriterFaultAction
+    onWriterTransfer() override
+    {
+        switch (calls++ % 3) {
+          case 0: return WriterFaultAction::kNone;
+          case 1: return WriterFaultAction::kDrop;
+          default: return WriterFaultAction::kStale;
+        }
+    }
+    bool dropInputDependence() override { return false; }
+    bool dropDebugLog() override { return false; }
+
+    std::uint64_t calls = 0;
+};
+
+/** FNV-1a over the bytes of 64-bit values, low byte first. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    operator()(std::uint64_t value)
+    {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (value >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/** What one random stream exercised, besides its hash. */
+struct StreamRun
+{
+    std::uint64_t hash = 0;
+    std::uint64_t l1_hits = 0;
+    std::uint64_t l2_hits = 0;
+    std::uint64_t upgrades = 0;        //!< Stores to a local S line.
+    std::uint64_t dirty_transfers = 0; //!< Loads served by an M copy.
+    std::uint64_t clean_transfers = 0; //!< Loads served by an E copy.
+    MemSystemStats stats;
+};
+
+/**
+ * 20,000 seeded loads and stores, each from a random core, over a hot
+ * pool of lines that crowd four L2 sets: 2 * assoc + 2 tags per set,
+ * so every set overflows its ways. The sets pair up on two L1 sets,
+ * so the L1 evicts lines the L2 still holds. Hashes every MemAccess
+ * field, the statistics and a final stateOf sweep of every core over
+ * the pool.
+ */
+StreamRun
+runRandomStream(const MemSystemConfig &config)
+{
+    MemorySystem mem(config);
+    const Addr l2_sets =
+        config.l2_bytes / config.line_bytes / config.l2_assoc;
+    const Addr l1_sets =
+        config.l1_bytes / config.line_bytes / config.l1_assoc;
+    const Addr tags = 2 * config.l2_assoc + 2;
+    const Addr words = std::min<Addr>(config.line_bytes / 4, 4);
+    std::vector<Addr> lines;
+    for (Addr t = 3; t < 3 + tags; ++t) {
+        for (const Addr s : {Addr{0}, Addr{1}, l1_sets, l1_sets + 1})
+            lines.push_back((t * l2_sets + s) * config.line_bytes);
+    }
+
+    StreamRun run;
+    Fnv1a mix;
+    Rng rng(0x3e51ULL);
+    for (int i = 0; i < 20000; ++i) {
+        const CoreId core = static_cast<CoreId>(rng.next(config.cores));
+        const Addr addr =
+            lines[rng.next(lines.size())] + 4 * rng.next(words);
+        const Pc pc = 0x400 + 4 * rng.next(16);
+        const bool is_store = rng.next(10) < 3;
+
+        Mesi remote = Mesi::kInvalid; // Strongest other-core copy.
+        for (CoreId c = 0; c < config.cores; ++c) {
+            if (c != core)
+                remote = std::max(remote, mem.stateOf(c, addr));
+        }
+        const MemAccess a = mem.access(
+            core, is_store ? store(core, pc, addr) : load(core, pc, addr));
+
+        run.l1_hits += a.level == AccessLevel::kL1;
+        run.l2_hits += a.level == AccessLevel::kL2;
+        run.upgrades += is_store && a.prior_state == Mesi::kShared;
+        if (!is_store && a.level == AccessLevel::kRemote) {
+            run.dirty_transfers += remote == Mesi::kModified;
+            run.clean_transfers += remote == Mesi::kExclusive;
+        }
+        mix(static_cast<std::uint64_t>(a.level));
+        mix(static_cast<std::uint64_t>(a.prior_state));
+        mix(a.latency);
+        mix(a.l1_hit ? 1 : 0);
+        mix(a.last_writer.has_value() ? 1 : 0);
+        if (a.last_writer) {
+            mix(a.last_writer->pc);
+            mix(a.last_writer->tid);
+        }
+    }
+
+    const MemSystemStats &s = mem.stats();
+    for (const std::uint64_t v :
+         {s.loads, s.stores, s.l1_hits, s.l2_hits, s.cache_to_cache,
+          s.memory_fetches, s.invalidations, s.evictions, s.writer_known,
+          s.writer_unknown}) {
+        mix(v);
+    }
+    for (CoreId c = 0; c < config.cores; ++c) {
+        for (const Addr line : lines)
+            mix(static_cast<std::uint64_t>(mem.stateOf(c, line)));
+    }
+    run.hash = mix.h;
+    run.stats = s;
+    return run;
+}
+
+/**
+ * Pins every decision of the MESI model: hit or miss, the victim, the
+ * LRU order, the snoop order, piggybacking and the fault-hook calls.
+ * The constants were computed by the model before its tag arrays
+ * were flattened and packed.
+ */
+TEST(MemorySystem, RandomStreamMatchesGoldenHash)
+{
+    MemSystemConfig tiny; // 1-way: 8 L2 sets, 4 L1 sets per core.
+    tiny.cores = 4;
+    tiny.l1_bytes = 256;
+    tiny.l1_assoc = 1;
+    tiny.l2_bytes = 512;
+    tiny.l2_assoc = 1;
+
+    const std::uint64_t expected[2][2][3] = {
+        // Table III: {word, line} x {default, writeback, piggyback}.
+        {{0xad628743ce0ee426ULL, 0x73792389d0017e33ULL,
+          0x08fdae7fcab1e630ULL},
+         {0x3263b3268261790aULL, 0xd7b233a5cd64f9a3ULL,
+          0xd06baa364b9a6303ULL}},
+        // Tiny 1-way.
+        {{0xd721c03fea71c0ffULL, 0xd9d598b17f604ce0ULL,
+          0x434e5b249e8b8f0eULL},
+         {0x37029a66a7011c32ULL, 0xabd498ca83682418ULL,
+          0x1254f08db298921cULL}},
+    };
+    for (int g = 0; g < 2; ++g) {
+        for (int gran = 0; gran < 2; ++gran) {
+            for (int flag = 0; flag < 3; ++flag) {
+                SCOPED_TRACE(::testing::Message() << "geometry " << g
+                                                  << " granularity " << gran
+                                                  << " flag " << flag);
+                MemSystemConfig config = g == 0 ? MemSystemConfig{} : tiny;
+                config.writer_granularity =
+                    gran == 0 ? Granularity::kWord : Granularity::kLine;
+                config.writeback_writer_metadata = flag == 1;
+                config.always_piggyback_writer = flag == 2;
+                const StreamRun run = runRandomStream(config);
+                EXPECT_EQ(run.hash, expected[g][gran][flag]);
+                EXPECT_GT(run.l1_hits, 0u);
+                EXPECT_GT(run.l2_hits, 0u);
+                EXPECT_GT(run.upgrades, 0u);
+                EXPECT_GT(run.dirty_transfers, 0u);
+                EXPECT_GT(run.clean_transfers, 0u);
+                EXPECT_GT(run.stats.evictions, 0u);
+                EXPECT_GT(run.stats.invalidations, 0u);
+            }
+        }
+    }
+
+    // Faults: every third piggybacked transfer is dropped, every third
+    // arrives stale.
+    CyclingWriterFaults faults;
+    MemSystemConfig faulty;
+    faulty.faults = &faults;
+    const StreamRun run = runRandomStream(faulty);
+    EXPECT_EQ(run.hash, 0x087078ebba2794b2ULL);
+    EXPECT_EQ(faults.calls, 3987u);
+}
+
+TEST(MemorySystemDeathTest, NonPowerOfTwoSetCountsAbort)
+{
+    // Set indices are masks, so a geometry with 3 sets is refused.
+    MemSystemConfig l2 = smallConfig();
+    l2.l2_bytes = 3 * 8 * 64; // 3 sets of 8 ways.
+    EXPECT_DEATH({ MemorySystem mem(l2); }, "has_single_bit\\(l2_sets\\)");
+    MemSystemConfig l1 = smallConfig();
+    l1.l1_bytes = 3 * 4 * 64; // 3 sets of 4 ways.
+    EXPECT_DEATH({ MemorySystem mem(l1); }, "has_single_bit\\(l1_sets_\\)");
 }
 
 /** Line-size sweep (Table III: 4..128 B). */

@@ -62,6 +62,17 @@ simpleTrace()
     return trace;
 }
 
+TEST(SystemDeathTest, NonPowerOfTwoCoreCountAborts)
+{
+    // Threads map to cores by mask, so 3 or 6 cores are refused.
+    for (const std::uint32_t cores : {3u, 6u}) {
+        SystemConfig config = testConfig(false);
+        config.mem.cores = cores;
+        EXPECT_DEATH({ System system(config); }, "assertion failed")
+            << cores;
+    }
+}
+
 TEST(System, BaselineRunsWithoutAct)
 {
     System system(testConfig(false));
