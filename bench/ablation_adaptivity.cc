@@ -1,14 +1,13 @@
 /**
  * @file
- * Ablation: what the hidden-layer size and selective weight protection
- * each buy.
+ * Ablation: what weight protection buys.
  *
  * The table-adaptivity campaign sweeps one bug (pbzip2) with one fault
  * seed and one failure seed, so a single cell decides each of its
  * numbers. This bench runs the same kAdaptivity job over every Table V
  * bug, three fault seeds, two failure seeds and the campaign's four
- * stored-weight fault rates, for h in {10, 5} with and without
- * protection, and summarises every configuration over its 66 (bug,
+ * stored-weight fault rates, for the paper's network with and without
+ * protection, and summarises each configuration over its 66 (bug,
  * fault seed, failure seed) triples:
  *
  *  - clean accuracy and clean diagnoses, at rate 0;
@@ -43,15 +42,12 @@ using bench::format;
 struct Config
 {
     const char *name;
-    std::size_t hidden; //!< h; 0 = the default 10.
     bool protect;
 };
 
 constexpr std::array kConfigs = {
-    Config{"K=1 h=10", 0, false},
-    Config{"K=1 h=10 +prot", 0, true},
-    Config{"K=1 h=5", 5, false},
-    Config{"K=1 h=5 +prot", 5, true},
+    Config{"K=1 h=10", false},
+    Config{"K=1 h=10 +prot", true},
 };
 constexpr std::array<std::uint64_t, 3> kFaultSeeds = {0xada97, 2, 3};
 constexpr std::array<std::uint64_t, 2> kFailureSeeds = {999, 1234};
@@ -61,8 +57,8 @@ void
 run()
 {
     bench::banner("Ablation: adaptivity mechanisms",
-                  "no paper table (hidden-layer size and weight "
-                  "protection vs the paper's network)");
+                  "no paper table (weight protection vs the paper's "
+                  "network)");
 
     Campaign campaign;
     campaign.name = "ablation-adaptivity";
@@ -87,7 +83,6 @@ run()
                         job.knobs.failure_seed = failure_seed;
                         job.knobs.fault_seed = fault_seed;
                         job.knobs.fault_rate = rate;
-                        job.knobs.hidden_neurons = config.hidden;
                         job.knobs.protect_weights = config.protect;
                         campaign.jobs.push_back(std::move(job));
                     }

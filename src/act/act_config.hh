@@ -7,7 +7,6 @@
 #define ACT_ACT_ACT_CONFIG_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "act/buffers.hh"
 #include "common/fault_hooks.hh"
@@ -18,27 +17,7 @@
 namespace act
 {
 
-/**
- * Selective weight protection consulted when a thread's stored weight
- * set is loaded: implementations verify a checksum and repair the set
- * from a shadow copy when a fault flipped a stored bit. Dormant via
- * the same null-pointer contract as FaultHooks — the concrete guard
- * (faults/weight_guard) ranks sets by probed fault sensitivity and
- * only shadows the most sensitive ones.
- */
-class WeightProtector
-{
-  public:
-    virtual ~WeightProtector() = default;
-
-    /**
-     * Inspect thread @p tid's weight set about to be loaded.
-     * @return true when a corruption was detected and @p weights was
-     * repaired in place from the shadow copy.
-     */
-    virtual bool inspect(ThreadId tid,
-                         std::vector<double> &weights) const = 0;
-};
+class WeightGuard;
 
 /** All knobs of one ACT Module. */
 struct ActConfig
@@ -77,11 +56,11 @@ struct ActConfig
     FaultHooks *faults = nullptr;
 
     /**
-     * Selective weight protection consulted at initThread. Null — the
-     * default — skips the check entirely (one never-taken branch per
-     * thread start). Non-owning, same lifetime contract as `faults`.
+     * Weight protection consulted at initThread. Null — the default —
+     * skips the check entirely (one never-taken branch per thread
+     * start). Non-owning, same lifetime contract as `faults`.
      */
-    const WeightProtector *protector = nullptr;
+    const WeightGuard *protector = nullptr;
 };
 
 /**

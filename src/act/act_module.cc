@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "act/weight_guard.hh"
 #include "analysis/config_check.hh"
 #include "common/logging.hh"
 #include "telemetry/metrics.hh"

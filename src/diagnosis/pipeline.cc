@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "act/weight_guard.hh"
 #include "common/logging.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/spans.hh"
@@ -194,8 +195,8 @@ diagnoseFailure(const Workload &workload, const DiagnosisSetup &setup)
     // the clean table (a deployment computes them when it patches the
     // binary), then the hook plays deployment-time bit rot on top.
     std::optional<WeightGuard> guard;
-    if (setup.protection.enabled) {
-        guard.emplace(WeightGuard::build(store, setup.protection));
+    if (setup.protect_weights) {
+        guard.emplace(WeightGuard::build(store));
         sys_config.act.protector = &*guard;
     }
     if (setup.weight_store_hook)

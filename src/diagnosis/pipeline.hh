@@ -13,7 +13,6 @@
 
 #include "act/weight_store.hh"
 #include "diagnosis/postprocess.hh"
-#include "faults/weight_guard.hh"
 #include "nn/trainer.hh"
 #include "sim/system.hh"
 #include "workloads/workload.hh"
@@ -129,14 +128,14 @@ struct DiagnosisSetup
     std::function<void(WeightStore &)> weight_store_hook;
 
     /**
-     * Selective weight protection. When enabled, a WeightGuard is
-     * built from the *clean* store — after training, before
-     * weight_store_hook corrupts it, mirroring a deployment that
-     * computes checksums at patch time — and wired into the production
-     * run's modules so flipped stored bits are repaired at thread
-     * start instead of quarantined.
+     * Weight protection. When set, a WeightGuard is built from the
+     * *clean* store — after training, before weight_store_hook
+     * corrupts it, mirroring a deployment that computes checksums at
+     * patch time — and wired into the production run's modules so
+     * flipped stored bits are repaired at thread start instead of
+     * quarantined.
      */
-    WeightProtectionConfig protection;
+    bool protect_weights = false;
 };
 
 /** Outcome of a full diagnosis. */

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <map>
 
-#include "diagnosis/pipeline.hh"
-
 namespace act
 {
 
@@ -27,12 +25,7 @@ format(const char *fmt, Args... args)
 std::string
 adaptivityConfigLabel(const JobKnobs &knobs)
 {
-    if (knobs.hidden_neurons == 0 && !knobs.protect_weights)
-        return "baseline";
-    const std::size_t hidden = knobs.hidden_neurons > 0
-                                   ? knobs.hidden_neurons
-                                   : OfflineTrainingConfig{}.hidden_neurons;
-    return format("h%zu%s", hidden, knobs.protect_weights ? "+prot" : "");
+    return knobs.protect_weights ? "protected" : "baseline";
 }
 
 bool
@@ -108,7 +101,7 @@ adaptivitySweepReport(const Campaign &campaign,
     // worst-case property, and the damage regime is not monotone in
     // the rate (silent in-range corruption hurts the baseline more
     // than gross corruption its quarantine catches). Smaller is
-    // better; the campaign's acceptance bar is h5+prot < baseline.
+    // better; the campaign's acceptance bar is protected < baseline.
     text += "\naccuracy loss (clean -> worst swept rate), "
             "by configuration:\n";
     std::vector<std::string> configs;

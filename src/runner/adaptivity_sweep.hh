@@ -4,14 +4,15 @@
  * the per-configuration accuracy-degradation table.
  *
  * A table-adaptivity campaign is a grid of independent kAdaptivity
- * jobs — configurations (baseline / h5+prot) crossed with
- * stored-weight fault rates — flowing through the
- * ordinary runner. Each job deposits its headline accuracy and the
- * module's hardening counters as flat metrics; this translation layer
- * pivots those rows into one line per configuration, with the
- * accuracy-loss column (rate-0 accuracy minus top-rate accuracy) the
- * acceptance criterion reads. Failed jobs are excluded from the pool —
- * they are already surfaced by the runner's FAILED JOBS accounting.
+ * jobs — configurations (baseline / protected) crossed with
+ * stored-weight fault rates — flowing through the ordinary runner.
+ * Each job deposits its headline accuracy and the module's hardening
+ * counters as flat metrics; this translation layer pivots those rows
+ * into one line per cell and a summary per configuration, with the
+ * accuracy-loss column (rate-0 accuracy minus the lowest accuracy
+ * over the nonzero rates) the acceptance criterion reads. Failed jobs
+ * are excluded from the pool — they are already surfaced by the
+ * runner's FAILED JOBS accounting.
  */
 
 #ifndef ACT_RUNNER_ADAPTIVITY_SWEEP_HH
@@ -28,18 +29,18 @@ namespace act
 /** One kAdaptivity cell lifted back out of its flat metrics. */
 struct AdaptivityOutcome
 {
-    std::string config;      //!< baseline | h5+prot (from the knobs).
+    std::string config;      //!< baseline | protected (from the knobs).
     double fault_rate = 0.0;
-    double accuracy = 0.0;   //!< (diagnosed + root_logged + prec) / 3.
+    /** (diagnosed + root_logged + oracle prec + log prec) / 4. */
+    double accuracy = 0.0;
     double repaired = 0.0;   //!< Shadow-copy weight repairs.
     double quarantined = 0.0;
     double mode_switches = 0.0;
 };
 
 /**
- * The configuration label of a kAdaptivity cell, derived from the knobs
- * that make the configuration: "baseline" for the paper's module, else
- * "h<hidden>" plus "+prot" under weight protection ("h5+prot").
+ * The configuration label of a kAdaptivity cell: "protected" under
+ * weight protection, else "baseline" (the paper's module).
  */
 std::string adaptivityConfigLabel(const JobKnobs &knobs);
 

@@ -36,7 +36,7 @@ enum class JobKind : std::uint8_t
     kDiagnosePbi,  //!< Table V PBI column.
     kResilience,   //!< Diagnose-act under an injected fault plan.
     kCorpus,       //!< table6-corpus cell: one injected-bug variant.
-    kAdaptivity    //!< table-adaptivity cell: h + weight protection
+    kAdaptivity    //!< table-adaptivity cell: weight protection
                    //!< under a weight-concentrated fault plan.
 };
 
@@ -135,11 +135,10 @@ struct JobKnobs
     std::uint32_t inject_fail_attempts = 0; //!< kTransient: throwing attempts.
     std::uint64_t deadline_ms = 0;  //!< Per-job deadline; 0 = run default.
 
-    // Adaptivity jobs (kAdaptivity). The defaults keep every knob
-    // dormant: a diagnose-act cell with these untouched is bit-
-    // identical to the pre-adaptivity runner.
-    bool protect_weights = false;      //!< Selective weight protection.
-    std::size_t hidden_neurons = 0;    //!< Hidden layer h (0 = default).
+    // Adaptivity jobs (kAdaptivity). Off by default: a diagnose-act
+    // cell with it untouched is bit-identical to the pre-adaptivity
+    // runner.
+    bool protect_weights = false; //!< Guard every stored weight set.
 };
 
 /** One experiment cell. */

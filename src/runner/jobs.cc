@@ -246,11 +246,10 @@ runInvalidDeps(const JobSpec &spec, TraceCache &cache, JobResult &result)
  * site runs under the injector's plan; with a null injector (or an
  * all-zero plan) the computation is bit-identical to the fault-free
  * path — the resilience table's rate-0 row depends on this. The
- * adaptivity knobs (protect_weights, hidden_neurons) are applied only
- * when set off their dormant defaults, so every pre-existing cell is
- * untouched. @p am_out, when
- * non-null, receives the run's ActModuleStats so a caller can emit
- * extra metrics without widening the shared metric set here.
+ * adaptivity knob (protect_weights) is off by default, so every
+ * pre-existing cell is untouched. @p am_out, when non-null, receives
+ * the run's ActModuleStats so a caller can emit extra metrics without
+ * widening the shared metric set here.
  */
 void
 runDiagnoseActImpl(const JobSpec &spec, TraceCache &cache,
@@ -286,13 +285,9 @@ runDiagnoseActImpl(const JobSpec &spec, TraceCache &cache,
     setup.trace_provider = provider;
     setup.postmortem_traces = knobs.postmortem_traces;
     setup.failure_seed = knobs.failure_seed;
+    setup.protect_weights = knobs.protect_weights;
     if (knobs.debug_buffer_entries > 0)
         setup.system.act.debug_buffer_entries = knobs.debug_buffer_entries;
-
-    // Adaptivity knobs, each dormant at its default.
-    if (knobs.hidden_neurons > 0)
-        setup.training.hidden_neurons = knobs.hidden_neurons;
-    setup.protection.enabled = knobs.protect_weights;
 
     if (inject != nullptr) {
         setup.weight_store_hook = [inject](WeightStore &store) {
@@ -485,12 +480,12 @@ runResilience(const JobSpec &spec, TraceCache &cache, JobResult &result)
 }
 
 /**
- * table-adaptivity cell: diagnose-act with the hidden-layer and
- * protection knobs from the spec, under a fault plan that concentrates
- * its whole budget on stored weights — the hazard the adaptivity
- * machinery is built against. Rate 0 passes a *null* injector, so the
- * baseline cell is byte-comparable to a plain fault-free diagnose-act
- * run with the same knobs. The scalar `accuracy` in [0, 1] folds the
+ * table-adaptivity cell: diagnose-act with the protection knob from
+ * the spec, under a fault plan that concentrates its whole budget on
+ * stored weights — the hazard weight protection is built against.
+ * Rate 0 passes a *null* injector, so the baseline cell is
+ * byte-comparable to a plain fault-free diagnose-act run with the same
+ * knobs. The scalar `accuracy` in [0, 1] folds the
  * headline outcomes — was the bug diagnosed, was the root logged, how
  * precise were the ranked candidates, and how clean was the online
  * monitoring signal (the fraction of logged suspects that survive

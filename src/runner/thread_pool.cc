@@ -47,16 +47,6 @@ perQueueGauge(std::size_t index)
     return gauges[index];
 }
 
-/** trySubmit refusals (volatile: load dependent). */
-telemetry::Counter
-shedCounter()
-{
-    static const telemetry::Counter counter =
-        telemetry::MetricsRegistry::global().counter(
-            "pool.tasks_shed", telemetry::Stability::kVolatile);
-    return counter;
-}
-
 } // namespace
 
 WorkStealingPool::WorkStealingPool(unsigned threads)
@@ -119,40 +109,6 @@ WorkStealingPool::wakeOne()
     // already waiting, so the wakeup cannot be lost.
     std::lock_guard<std::mutex> lock(wake_mutex_);
     wake_cv_.notify_one();
-}
-
-bool
-WorkStealingPool::trySubmit(Task task, std::size_t max_queue_depth)
-{
-    const int self = tls_worker_index;
-    const std::size_t target =
-        self >= 0 && static_cast<std::size_t>(self) < workers_.size()
-            ? static_cast<std::size_t>(self)
-            : next_queue_.fetch_add(1) % workers_.size();
-    {
-        std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-        if (workers_[target]->tasks.size() >= max_queue_depth) {
-            sheds_.fetch_add(1);
-            shedCounter().inc();
-            return false;
-        }
-        pending_.fetch_add(1);
-        unclaimed_.fetch_add(1);
-        queueDepthGauge().inc();
-        perQueueGauge(target).inc();
-        workers_[target]->tasks.push_back(std::move(task));
-    }
-    wakeOne();
-    return true;
-}
-
-std::size_t
-WorkStealingPool::queueDepth(unsigned index) const
-{
-    if (index >= workers_.size())
-        return 0;
-    std::lock_guard<std::mutex> lock(workers_[index]->mutex);
-    return workers_[index]->tasks.size();
 }
 
 void

@@ -58,22 +58,6 @@ class WorkStealingPool
      */
     void submit(Task task);
 
-    /**
-     * Bounded enqueue: refuse — returning false and counting the task
-     * under the `pool.tasks_shed` telemetry counter — when the target
-     * deque already holds @p max_queue_depth tasks. Nothing is ever
-     * dropped silently: the caller owns the refused task and decides
-     * whether to retry, redirect or shed it for real. Queue selection
-     * matches submit().
-     */
-    bool trySubmit(Task task, std::size_t max_queue_depth);
-
-    /** Tasks currently queued (unclaimed) on worker @p index's deque. */
-    std::size_t queueDepth(unsigned index) const;
-
-    /** Lifetime count of trySubmit refusals. */
-    std::uint64_t shedCount() const { return sheds_.load(); }
-
     /** Block until every task submitted so far has completed. */
     void wait();
 
@@ -131,7 +115,6 @@ class WorkStealingPool
     std::atomic<std::uint64_t> pending_{0};   //!< Submitted, not finished.
     std::atomic<std::uint64_t> next_queue_{0};
     std::atomic<std::uint64_t> steals_{0};
-    std::atomic<std::uint64_t> sheds_{0};
     std::atomic<std::uint64_t> exceptions_{0};
     std::atomic<bool> stop_{false};
 

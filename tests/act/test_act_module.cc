@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the ACT Module: initialisation, online testing, Debug
- * Buffer logging, mode switching, retire back-pressure, weight export,
- * the verdict memo, and the differential golden pins of the whole
- * observable behaviour.
+ * Tests for the ACT Module: initialisation, quarantine and weight
+ * repair, online testing, Debug Buffer logging, mode switching, retire
+ * back-pressure, weight export, the verdict memo, and the differential
+ * golden pins of the whole observable behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <string>
 
 #include "act/act_module.hh"
+#include "act/weight_guard.hh"
 #include "common/fault_hooks.hh"
 #include "common/hashing.hh"
 #include "nn/trainer.hh"
@@ -291,6 +292,63 @@ TEST(ActModule, InitQuarantinesOutOfRangeStoredWeights)
     module.initThread(0, store);
     EXPECT_EQ(module.mode(), ActMode::kTraining);
     EXPECT_EQ(module.stats().quarantined_weight_sets, 1u);
+}
+
+TEST(ActModule, SecondQuarantineDistrustsTheStoreForThatTid)
+{
+    auto weights = trainedWeights();
+    weights[3] = std::numeric_limits<double>::quiet_NaN();
+    WeightStore rotten(Topology{2, 6});
+    rotten.set(0, weights);
+
+    PairEncoder encoder;
+    ActModule module(testConfig(), encoder);
+    module.initThread(0, rotten);
+    module.initThread(0, rotten);
+    EXPECT_EQ(module.stats().quarantined_weight_sets, 2u);
+    EXPECT_EQ(module.stats().quarantine_escalations, 1u);
+
+    // Escalated: even a clean store is not read for tid 0 again, so
+    // the module trains from the zero network and counts nothing new.
+    module.initThread(0, trainedStore());
+    EXPECT_EQ(module.mode(), ActMode::kTraining);
+    EXPECT_EQ(module.saveWeights(),
+              std::vector<double>(module.network().weightCount(), 0.0));
+    EXPECT_EQ(module.stats().quarantined_weight_sets, 2u);
+    EXPECT_EQ(module.stats().quarantine_escalations, 1u);
+}
+
+TEST(ActModule, InitRepairsASilentlyFlippedSetFromTheGuard)
+{
+    const WeightStore clean = trainedStore();
+    const WeightGuard guard = WeightGuard::build(clean);
+
+    // A high mantissa bit: the value stays finite and in range, so
+    // only the checksum can tell the set was damaged.
+    std::vector<double> weights = *clean.get(0);
+    std::uint64_t raw = 0;
+    std::memcpy(&raw, &weights[2], sizeof(raw));
+    raw ^= 1ULL << 50;
+    std::memcpy(&weights[2], &raw, sizeof(raw));
+    WeightStore damaged(Topology{2, 6});
+    damaged.set(0, weights);
+
+    PairEncoder encoder;
+    ActModule reference(testConfig(), encoder);
+    reference.initThread(0, clean);
+    ActModule unguarded(testConfig(), encoder);
+    unguarded.initThread(0, damaged);
+    ASSERT_EQ(unguarded.mode(), ActMode::kTesting);
+    ASSERT_NE(unguarded.saveWeights(), reference.saveWeights());
+
+    ActConfig config = testConfig();
+    config.protector = &guard;
+    ActModule module(config, encoder);
+    module.initThread(0, damaged);
+    EXPECT_EQ(module.stats().repaired_weight_sets, 1u);
+    EXPECT_EQ(module.stats().quarantined_weight_sets, 0u);
+    EXPECT_EQ(module.mode(), ActMode::kTesting);
+    EXPECT_EQ(module.saveWeights(), reference.saveWeights());
 }
 
 TEST(ActModule, RestoreWeightsQuarantinesCorruptSet)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "diagnosis/pipeline.hh"
 
 namespace act
@@ -92,6 +95,35 @@ TEST_F(PipelineFixture, DiagnosisNeverReproducesTheFailure)
     const Trace failure_trace = workload->record(failing);
     EXPECT_LE(result.run_stats.act.dependences,
               failure_trace.loadCount());
+}
+
+TEST_F(PipelineFixture, ProtectionRepairsEveryThreadsCopyOfTheSharedSet)
+{
+    // table-adaptivity's knobs, with protection on.
+    const auto workload = makeWorkload("pbzip2");
+    DiagnosisSetup setup = defaultDiagnosisSetup();
+    setup.training.traces = 3;
+    setup.training.trainer.max_epochs = 60;
+    setup.training.max_examples = 6000;
+    setup.postmortem_traces = 4;
+    setup.protect_weights = true;
+    const DiagnosisResult clean = diagnoseFailure(*workload, setup);
+
+    setup.weight_store_hook = [](WeightStore &store) {
+        for (const ThreadId tid : store.tids()) {
+            std::vector<double> weights = *store.get(tid);
+            weights[0] = std::numeric_limits<double>::quiet_NaN();
+            store.set(tid, std::move(weights));
+        }
+    };
+    const DiagnosisResult hooked = diagnoseFailure(*workload, setup);
+
+    EXPECT_EQ(hooked.run_stats.act.repaired_weight_sets, 3u);
+    EXPECT_EQ(hooked.run_stats.act.quarantined_weight_sets, 0u);
+    ASSERT_TRUE(clean.rank.has_value());
+    EXPECT_EQ(hooked.rank, clean.rank);
+    EXPECT_EQ(hooked.report.toString(SIZE_MAX),
+              clean.report.toString(SIZE_MAX));
 }
 
 TEST_F(PipelineFixture, PerThreadWeightSpecialisation)

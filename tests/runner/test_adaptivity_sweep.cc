@@ -50,32 +50,23 @@ TEST(AdaptivityCampaign, SweepsTwoConfigsAcrossFourRates)
         EXPECT_EQ(spec.kind, JobKind::kAdaptivity);
         const std::string config = adaptivityConfigLabel(spec.knobs);
         rates_by_config[config].insert(spec.knobs.fault_rate);
-        if (config == "baseline") {
-            // The baseline cell is fully dormant: running it with
-            // rate 0 must be the plain diagnose-act path.
-            EXPECT_FALSE(spec.knobs.protect_weights);
-            EXPECT_EQ(spec.knobs.hidden_neurons, 0u);
-        } else {
-            EXPECT_EQ(config, "h5+prot");
-        }
+        // The baseline cell is fully dormant: running it with rate 0
+        // must be the plain diagnose-act path.
+        EXPECT_EQ(spec.knobs.protect_weights, config == "protected");
     }
     // Each configuration sweeps the same range: clean to 5%.
     const std::set<double> rates{0.0, 0.002, 0.01, 0.05};
     EXPECT_EQ(rates_by_config,
               (std::map<std::string, std::set<double>>{
-                  {"baseline", rates}, {"h5+prot", rates}}));
+                  {"baseline", rates}, {"protected", rates}}));
 }
 
-TEST(AdaptivityCampaign, LabelsDeriveFromHiddenNeuronsAndProtection)
+TEST(AdaptivityCampaign, LabelsDeriveFromProtection)
 {
     JobKnobs knobs;
     EXPECT_EQ(adaptivityConfigLabel(knobs), "baseline");
     knobs.protect_weights = true;
-    EXPECT_EQ(adaptivityConfigLabel(knobs), "h10+prot");
-    knobs.hidden_neurons = 5;
-    EXPECT_EQ(adaptivityConfigLabel(knobs), "h5+prot");
-    knobs.protect_weights = false;
-    EXPECT_EQ(adaptivityConfigLabel(knobs), "h5");
+    EXPECT_EQ(adaptivityConfigLabel(knobs), "protected");
 }
 
 TEST(AdaptivityCampaign, DetectionHelperSeesOnlyAdaptivityJobs)
@@ -105,10 +96,10 @@ syntheticCampaign()
 std::vector<JobResult>
 syntheticResults()
 {
-    // baseline: 1.0 -> 0.6 (loss 0.4); h5+prot: 0.9 -> 0.85 (0.05).
+    // baseline: 1.0 -> 0.6 (loss 0.4); protected: 0.9 -> 0.85 (0.05).
     const double accuracy[] = {1.0, 0.6, 0.9, 0.85};
-    const char *configs[] = {"baseline", "baseline", "h5+prot",
-                             "h5+prot"};
+    const char *configs[] = {"baseline", "baseline", "protected",
+                             "protected"};
     std::vector<JobResult> results;
     for (std::uint32_t id = 0; id < 4; ++id) {
         JobResult result;
@@ -135,7 +126,7 @@ TEST(AdaptivitySweep, OutcomesLiftMetricsAndSkipFailedJobs)
     EXPECT_EQ(outcomes[0].config, "baseline");
     EXPECT_EQ(outcomes[0].fault_rate, 0.0);
     EXPECT_EQ(outcomes[0].accuracy, 1.0);
-    EXPECT_EQ(outcomes[2].config, "h5+prot");
+    EXPECT_EQ(outcomes[2].config, "protected");
     EXPECT_EQ(outcomes[2].repaired, 5.0);
 }
 
@@ -151,8 +142,8 @@ TEST(AdaptivitySweep, ReportSummarisesWorstCaseLossPerConfig)
     EXPECT_NE(report.find("baseline       0.400 (1.000 -> 0.600 at "
                           "rate 0.050)"),
               std::string::npos);
-    // h5+prot: 0.900 -> 0.850.
-    EXPECT_NE(report.find("h5+prot        0.050 (0.900 -> 0.850 at "
+    // protected: 0.900 -> 0.850.
+    EXPECT_NE(report.find("protected      0.050 (0.900 -> 0.850 at "
                           "rate 0.050)"),
               std::string::npos);
 }

@@ -199,43 +199,5 @@ TEST(WorkStealingPool, HelpExecutePathAbsorbsExceptions)
     EXPECT_EQ(pool.exceptionCount(), 1u);
 }
 
-TEST(WorkStealingPool, TrySubmitShedsOnDeepQueueAndCountsIt)
-{
-    WorkStealingPool pool(1);
-    std::atomic<bool> release{false};
-    pool.submit([&release] {
-        while (!release.load())
-            std::this_thread::yield();
-    });
-    // Wait for the worker to claim the blocker so the queue depth
-    // observed below is deterministic.
-    while (pool.queueDepth(0) != 0)
-        std::this_thread::yield();
-
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 3; ++i)
-        pool.submit([&ran] { ran.fetch_add(1); });
-    EXPECT_EQ(pool.queueDepth(0), 3u);
-
-    // At the depth bound the task is refused and counted, and the
-    // caller keeps it; above the bound it is accepted.
-    EXPECT_FALSE(pool.trySubmit([&ran] { ran.fetch_add(1); }, 3));
-    EXPECT_EQ(pool.shedCount(), 1u);
-    EXPECT_TRUE(pool.trySubmit([&ran] { ran.fetch_add(1); }, 8));
-    EXPECT_EQ(pool.queueDepth(0), 4u);
-
-    release.store(true);
-    pool.wait();
-    EXPECT_EQ(ran.load(), 4);
-    EXPECT_EQ(pool.shedCount(), 1u);
-    EXPECT_EQ(pool.queueDepth(0), 0u);
-}
-
-TEST(WorkStealingPool, QueueDepthIsBoundsChecked)
-{
-    WorkStealingPool pool(2);
-    EXPECT_EQ(pool.queueDepth(99), 0u);
-}
-
 } // namespace
 } // namespace act
