@@ -11,7 +11,6 @@ detectorName(DetectorKind kind)
 {
     switch (kind) {
       case DetectorKind::kLockset: return "lockset";
-      case DetectorKind::kLockOrder: return "lock-order";
       case DetectorKind::kAtomicity: return "atomicity";
       case DetectorKind::kOrder: return "order";
     }
@@ -44,15 +43,6 @@ AnalysisFinding::toString() const
     if (!message.empty())
         out << ": " << message;
     return out.str();
-}
-
-Finding
-AnalysisFinding::toFinding() const
-{
-    return makeFinding(detectorName(detector), code, Severity::kWarning,
-                       toString(),
-                       witness_seqs.empty() ? Finding::kNoSeq
-                                            : witness_seqs.front());
 }
 
 void
@@ -138,16 +128,6 @@ AnalysisReport::toText() const
         out += '\n';
     }
     return out;
-}
-
-std::vector<Finding>
-AnalysisReport::toFindings() const
-{
-    std::vector<Finding> findings;
-    findings.reserve(findings_.size());
-    for (const AnalysisFinding &finding : ranked())
-        findings.push_back(finding.toFinding());
-    return findings;
 }
 
 } // namespace act

@@ -2,15 +2,14 @@
  * @file
  * Shared currency of the offline concurrency detectors.
  *
- * Every detector of the analysis pipeline (lockset, lock-order,
- * atomicity, order-invariant) reports through AnalysisFinding /
- * AnalysisReport: a finding names its detector, a stable rule code, the
- * static program points that identify the defect (up to three PCs) and
- * the first dynamic witness (seq/tid per PC). Dynamic re-occurrences of
- * the same static defect bump a count instead of producing duplicates,
- * keyed by detector x code x PC tuple, so a report is a set of static
- * defects no matter how long the trace is — and byte-identical no
- * matter how the detectors were scheduled (DESIGN section 13).
+ * Every detector of the analysis pipeline (lockset, atomicity,
+ * order-invariant) reports through AnalysisFinding / AnalysisReport: a
+ * finding names its detector, a stable rule code, the static program
+ * points that identify the defect (up to three PCs) and the first
+ * dynamic witness (seq/tid per PC). Dynamic re-occurrences of the same
+ * static defect bump a count instead of producing duplicates, keyed by
+ * detector x code x PC tuple, so a report is a set of static defects no
+ * matter how long the trace is (DESIGN section 13).
  */
 
 #ifndef ACT_ANALYSIS_DETECTOR_HH
@@ -22,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/finding.hh"
 #include "common/hashing.hh"
 #include "common/types.hh"
 
@@ -33,12 +31,11 @@ namespace act
 enum class DetectorKind : std::uint8_t
 {
     kLockset,   //!< Eraser-style C(v) lockset race detector.
-    kLockOrder, //!< Lock-order-graph deadlock detector.
     kAtomicity, //!< AVIO-style unserializable-interleaving detector.
-    kOrder      //!< Order-violation / init-before-use checker.
+    kOrder      //!< Mined communication-invariant checker.
 };
 
-inline constexpr std::size_t kDetectorCount = 4;
+inline constexpr std::size_t kDetectorCount = 3;
 
 const char *detectorName(DetectorKind kind);
 
@@ -95,19 +92,16 @@ struct AnalysisFinding
     }
 
     std::string toString() const;
-
-    /** Bridge into the Finding machinery actlint renders and gates on. */
-    Finding toFinding() const;
 };
 
 /**
  * Deduplicated, rankable set of detector findings.
  *
  * add() folds dynamic re-occurrences into the existing finding's count;
- * merge() folds whole reports (parallel detector runs land in separate
- * reports that the pipeline merges in fixed detector order). ranked()
- * orders by dynamic count (desc), then detector, code and PC tuple, so
- * the rendering is a pure function of the finding set.
+ * merge() folds whole reports (each detector fills its own report,
+ * which the pipeline merges in fixed detector order). ranked() orders
+ * by dynamic count (desc), then detector, code and PC tuple, so the
+ * rendering is a pure function of the finding set.
  */
 class AnalysisReport
 {
@@ -144,9 +138,6 @@ class AnalysisReport
 
     /** One finding per line, ranked; "" when empty. */
     std::string toText() const;
-
-    /** The findings as the Finding records actlint renders. */
-    std::vector<Finding> toFindings() const;
 
     /** Events each detector consumed (set by the driver). */
     std::uint64_t events_analyzed = 0;

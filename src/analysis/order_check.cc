@@ -65,79 +65,36 @@ OrderInvariants::knowsLoad(Pc load_pc) const
 
 AnalysisReport
 checkOrderViolations(const Trace &trace,
-                     const OrderInvariants *invariants)
+                     const OrderInvariants &invariants)
 {
     AnalysisReport report;
     report.events_analyzed = trace.size();
 
-    if (invariants != nullptr) {
-        // Mined mode: flag every inter-thread RAW pair the passing
-        // runs never produced. Intra-thread dependences are ordered by
-        // program order and never checked, which is what keeps
-        // single-threaded (sequential-bug) traces clean by
-        // construction.
-        forEachRaw(trace, [&](const Writer &writer,
-                              const TraceEvent &load) {
-            if (writer.tid == load.tid)
-                return;
-            if (invariants->allows(writer.pc, load.pc))
-                return;
-            AnalysisFinding finding;
-            finding.detector = DetectorKind::kOrder;
-            finding.code = invariants->knowsLoad(load.pc)
-                               ? "untrained-writer"
-                               : "untrained-communication";
-            finding.pcs = {writer.pc, load.pc};
-            finding.witness_seqs = {writer.seq, load.seq};
-            finding.witness_tids = {writer.tid, load.tid};
-            finding.addr = load.addr;
-            char buf[112];
-            std::snprintf(buf, sizeof(buf),
-                          "load reads 0x%llx from a remote store no "
-                          "passing run ever supplied",
-                          static_cast<unsigned long long>(load.addr));
-            finding.message = buf;
-            report.add(std::move(finding));
-        });
-        return report;
-    }
-
-    // Single-trace mode: use-before-init. Pass 1 collects the first
-    // write per address; pass 2 walks the events in trace order and
-    // flags loads that precede it when the eventual writer is another
-    // thread.
-    std::unordered_map<Addr, Writer> first_write;
-    for (const TraceEvent &event : trace.events()) {
-        if (event.kind != EventKind::kStore || event.stack)
-            continue;
-        first_write.try_emplace(
-            event.addr,
-            Writer{true, event.tid, event.pc, event.seq});
-    }
-    for (const TraceEvent &event : trace.events()) {
-        if (event.kind != EventKind::kLoad || event.stack)
-            continue;
-        const auto it = first_write.find(event.addr);
-        if (it == first_write.end())
-            continue; // Never written: input data, not an ordering bug.
-        const Writer &writer = it->second;
-        if (writer.seq < event.seq || writer.tid == event.tid)
-            continue;
+    // Intra-thread dependences are ordered by program order and never
+    // checked, which is what keeps single-threaded (sequential-bug)
+    // traces clean by construction.
+    forEachRaw(trace, [&](const Writer &writer, const TraceEvent &load) {
+        if (writer.tid == load.tid)
+            return;
+        if (invariants.allows(writer.pc, load.pc))
+            return;
         AnalysisFinding finding;
         finding.detector = DetectorKind::kOrder;
-        finding.code = "use-before-init";
-        finding.pcs = {writer.pc, event.pc};
-        finding.witness_seqs = {writer.seq, event.seq};
-        finding.witness_tids = {writer.tid, event.tid};
-        finding.addr = event.addr;
+        finding.code = invariants.knowsLoad(load.pc)
+                           ? "untrained-writer"
+                           : "untrained-communication";
+        finding.pcs = {writer.pc, load.pc};
+        finding.witness_seqs = {writer.seq, load.seq};
+        finding.witness_tids = {writer.tid, load.tid};
+        finding.addr = load.addr;
         char buf[112];
         std::snprintf(buf, sizeof(buf),
-                      "load of 0x%llx before another thread's "
-                      "initialising store",
-                      static_cast<unsigned long long>(event.addr));
+                      "load reads 0x%llx from a remote store no "
+                      "passing run ever supplied",
+                      static_cast<unsigned long long>(load.addr));
         finding.message = buf;
         report.add(std::move(finding));
-    }
+    });
     return report;
 }
 

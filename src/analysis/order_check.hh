@@ -11,12 +11,8 @@
  * when a load takes its value from a remote store PC outside the mined
  * set — in the bug catalog that is exactly the buggy dependence, and
  * single-threaded executions can never trip it (they form no
- * inter-thread dependences at all).
- *
- * Without mined invariants (a single unpaired trace), a weaker
- * intra-trace rule still applies: a read of a location before its first
- * write, where another thread writes the location later in the same
- * trace, is a use-before-init order violation.
+ * inter-thread dependences at all). Without passing runs there is no
+ * expectation to violate, so the checker needs mined invariants.
  */
 
 #ifndef ACT_ANALYSIS_ORDER_CHECK_HH
@@ -52,11 +48,11 @@ class OrderInvariants
 };
 
 /**
- * Check @p trace against @p invariants (mined mode), or apply the
- * intra-trace use-before-init rule when @p invariants is null.
+ * Flag every inter-thread RAW pair of @p trace that @p invariants
+ * never saw in a passing run.
  */
-AnalysisReport checkOrderViolations(
-    const Trace &trace, const OrderInvariants *invariants = nullptr);
+AnalysisReport checkOrderViolations(const Trace &trace,
+                                    const OrderInvariants &invariants);
 
 } // namespace act
 

@@ -1,10 +1,6 @@
 #include "analysis/pipeline.hh"
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <functional>
-#include <thread>
 #include <unordered_set>
 
 #include "telemetry/metrics.hh"
@@ -17,7 +13,7 @@ namespace
 {
 
 /** Registry handles (stable: detector output is a pure function of the
- *  trace set analysed, independent of thread count). */
+ *  trace set analysed). */
 struct AnalysisMetrics
 {
     telemetry::Counter runs;
@@ -55,10 +51,8 @@ PipelineResult::toText() const
 {
     std::string out;
     char buf[96];
-    const DetectorKind kinds[] = {
-        DetectorKind::kLockset, DetectorKind::kLockOrder,
-        DetectorKind::kAtomicity, DetectorKind::kOrder};
-    for (const DetectorKind kind : kinds) {
+    for (std::size_t d = 0; d < kDetectorCount; ++d) {
+        const auto kind = static_cast<DetectorKind>(d);
         std::snprintf(buf, sizeof(buf), "%-10s %zu finding(s)\n",
                       detectorName(kind), report.countFor(kind));
         out += buf;
@@ -80,79 +74,22 @@ PipelineResult::toText() const
 }
 
 PipelineResult
-runAnalysisPipeline(const Trace &trace, const PipelineOptions &options)
+runAnalysisPipeline(const Trace &trace, const MinedBaselines *baselines)
 {
-    const auto start = std::chrono::steady_clock::now();
     telemetry::ScopedSpan span("analysis.pipeline", "analysis");
     PipelineResult result;
-
-    const AtomicityBaseline *atomicity_baseline =
-        options.baselines != nullptr ? &options.baselines->atomicity
-                                     : nullptr;
-    const OrderInvariants *order_invariants =
-        options.baselines != nullptr ? &options.baselines->order
-                                     : nullptr;
-
-    // Every detector writes its own pre-assigned slot; the merge below
-    // runs in fixed order, so the result cannot depend on scheduling.
-    AnalysisReport slots[kDetectorCount];
-    std::vector<std::function<void()>> tasks;
-    if (options.lockset) {
-        tasks.push_back(
-            [&] { slots[0] = detectLocksetRaces(trace); });
-    }
-    if (options.lock_order) {
-        tasks.push_back(
-            [&] { slots[1] = detectLockOrderCycles(trace); });
-    }
-    if (options.atomicity) {
-        tasks.push_back([&] {
-            slots[2] =
-                detectAtomicityViolations(trace, atomicity_baseline);
-        });
-    }
-    if (options.order) {
-        tasks.push_back([&] {
-            slots[3] = checkOrderViolations(trace, order_invariants);
-        });
-    }
-    if (options.hb_races)
-        tasks.push_back([&] { result.races = detectRaces(trace); });
-
-    const unsigned workers =
-        std::min<unsigned>(options.jobs > 0 ? options.jobs : 1,
-                           static_cast<unsigned>(tasks.size()));
-    if (workers <= 1) {
-        for (const auto &task : tasks)
-            task();
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w) {
-            threads.emplace_back([&] {
-                for (std::size_t i = next.fetch_add(1);
-                     i < tasks.size(); i = next.fetch_add(1)) {
-                    tasks[i]();
-                }
-            });
-        }
-        for (std::thread &thread : threads)
-            thread.join();
-    }
-
-    for (AnalysisReport &slot : slots)
-        result.report.merge(slot);
+    result.report.merge(detectLocksetRaces(trace));
+    result.report.merge(detectAtomicityViolations(
+        trace, baselines != nullptr ? &baselines->atomicity : nullptr));
+    if (baselines != nullptr)
+        result.report.merge(checkOrderViolations(trace, baselines->order));
+    result.races = detectRaces(trace);
 
     const AnalysisMetrics &m = AnalysisMetrics::get();
     m.runs.inc();
     m.events.add(result.report.events_analyzed);
     m.findings.add(result.report.size());
     m.racy_pairs.add(result.races.races().size());
-
-    result.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
     return result;
 }
 
@@ -176,11 +113,8 @@ scoreEnsemble(const PipelineResult &result,
     };
 
     EnsembleScore score;
-    const DetectorKind kinds[] = {
-        DetectorKind::kLockset, DetectorKind::kLockOrder,
-        DetectorKind::kAtomicity, DetectorKind::kOrder};
-
-    for (const DetectorKind kind : kinds) {
+    for (std::size_t d = 0; d < kDetectorCount; ++d) {
+        const auto kind = static_cast<DetectorKind>(d);
         OracleScore lens;
         for (const auto &[store_pc, load_pc] : pairs) {
             ++lens.considered;

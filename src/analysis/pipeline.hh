@@ -1,15 +1,12 @@
 /**
  * @file
- * The pluggable analysis pipeline: every offline detector in one pass.
+ * The analysis pipeline: every offline detector in one pass.
  *
- * Runs the lockset, lock-order, atomicity and order-violation detectors
- * plus the vector-clock happens-before oracle over one (read-only)
- * trace — concurrently when asked to — and merges their findings into
- * one deduplicated AnalysisReport. Merging happens in fixed detector
- * order into pre-assigned slots, so the merged report (and its text
- * rendering) is byte-identical at jobs=1 and jobs=4; the wall-clock
- * member is the only scheduling-dependent field and is excluded from
- * toText().
+ * Runs the lockset and atomicity detectors, the order-violation checker
+ * (only when given mined invariants) and the vector-clock
+ * happens-before oracle over one (read-only) trace, and merges the
+ * detector findings in fixed detector order into one deduplicated
+ * AnalysisReport.
  *
  * The ensemble scorer extends RaceReport::score() to every lens: for a
  * set of predicted RAW dependences (ACT's ranked Debug Buffer
@@ -33,7 +30,6 @@
 
 #include "analysis/atomicity.hh"
 #include "analysis/detector.hh"
-#include "analysis/lock_order.hh"
 #include "analysis/lockset.hh"
 #include "analysis/order_check.hh"
 #include "analysis/race_oracle.hh"
@@ -56,34 +52,14 @@ struct MinedBaselines
     }
 };
 
-/** Pipeline configuration. */
-struct PipelineOptions
-{
-    bool lockset = true;
-    bool lock_order = true;
-    bool atomicity = true;
-    bool order = true;
-    bool hb_races = true; //!< FastTrack oracle (the fifth lens).
-
-    /** Detector-level parallelism (1 = sequential). The report is
-     *  byte-identical for every value. */
-    unsigned jobs = 1;
-
-    /** Mined invariants; null = single-trace mode for both lenses. */
-    const MinedBaselines *baselines = nullptr;
-};
-
 /** Everything one pipeline pass learned about a trace. */
 struct PipelineResult
 {
-    /** Merged detector findings (lockset/lock-order/atomicity/order). */
+    /** Merged detector findings (lockset/atomicity/order). */
     AnalysisReport report;
 
-    /** The happens-before oracle's racy pairs (empty when disabled). */
+    /** The happens-before oracle's racy pairs. */
     RaceReport races;
-
-    /** Scheduling-dependent; never part of the deterministic text. */
-    double wall_ms = 0.0;
 
     /**
      * Deterministic rendering: per-detector finding counts, then the
@@ -92,14 +68,18 @@ struct PipelineResult
     std::string toText() const;
 };
 
-/** Run every enabled detector over @p trace. */
+/**
+ * Run every detector over @p trace. With @p baselines null, the
+ * atomicity detector runs in single-trace mode and the order checker,
+ * which has nothing to check against, does not run.
+ */
 PipelineResult runAnalysisPipeline(const Trace &trace,
-                                   const PipelineOptions &options = {});
+                                   const MinedBaselines *baselines = nullptr);
 
 /** Per-lens + fused precision/recall of a prediction set. */
 struct EnsembleScore
 {
-    /** Keyed "lockset", "lock-order", "atomicity", "order", "hb". */
+    /** Keyed "lockset", "atomicity", "order", "hb". */
     std::map<std::string, OracleScore> per_detector;
 
     /** TP when any lens corroborates the predicted pair. */

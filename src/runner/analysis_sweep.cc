@@ -71,11 +71,7 @@ analyzeCachedTraces(const std::string &cache_dir, unsigned jobs)
                 TraceSlot &slot = slots[i];
                 slot.readable = true;
                 slot.events = trace.size();
-                // Detector-level parallelism stays off: the sweep is
-                // already one task per trace and nested threads would
-                // oversubscribe the pool.
-                const PipelineResult result =
-                    runAnalysisPipeline(trace, {});
+                const PipelineResult result = runAnalysisPipeline(trace);
                 slot.text = result.toText();
                 slot.findings = result.report.size();
                 slot.racy_pairs = result.races.races().size();

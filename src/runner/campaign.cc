@@ -384,10 +384,4 @@ makeCampaign(const std::string &name)
     ACT_FATAL("unknown campaign: " << name);
 }
 
-std::string
-campaignDescription(const std::string &name)
-{
-    return makeCampaign(name).description;
-}
-
 } // namespace act

@@ -23,9 +23,6 @@ namespace act
 /** Names of the built-in campaigns, in listing order. */
 std::vector<std::string> campaignNames();
 
-/** One-line description of a named campaign (panics if unknown). */
-std::string campaignDescription(const std::string &name);
-
 /**
  * Build a named campaign. Requires registerAllWorkloads() to have run.
  * Panics on an unknown name; check campaignNames() first.

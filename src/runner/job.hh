@@ -122,9 +122,9 @@ struct JobKnobs
      * Run the multi-detector analysis pipeline on diagnose-act jobs:
      * mine atomicity/order invariants from the training traces, run
      * every detector over the failing trace, and report per-detector +
-     * fused ensemble precision/recall columns. Off by default —
-     * fault-free reports are byte-identical with the pipeline disabled
-     * (table5 turns it on; `actrun --no-analysis` forces it back off).
+     * fused ensemble precision/recall columns. Off by default; only
+     * table5 turns it on, and it adds columns without changing any
+     * other metric or label of the job.
      */
     bool analyze = false;
 

@@ -303,11 +303,28 @@ runDiagnoseActImpl(const JobSpec &spec, TraceCache &cache,
 
     // Score ACT's ranked candidates against the vector-clock race
     // oracle on the same failing trace the run consumed (a cache hit).
+    // With analysis on, the pipeline computes the oracle with the other
+    // lenses: mine benign-interleaving baselines from the same passing
+    // traces training consumed (all cache hits) and run every detector
+    // over the failing trace.
     WorkloadParams failure_params;
     failure_params.seed = knobs.failure_seed;
     failure_params.trigger_failure = true;
     const Trace failing_trace = cache.record(*workload, failure_params);
-    const RaceReport oracle = detectRaces(failing_trace);
+    PipelineResult analysis;
+    if (knobs.analyze) {
+        MinedBaselines baselines;
+        for (std::size_t i = 0; i < setup.training.traces; ++i) {
+            WorkloadParams train_params;
+            train_params.seed = setup.training.seed_base + i;
+            baselines.addPassingTrace(
+                cache.record(*workload, train_params));
+        }
+        analysis = runAnalysisPipeline(failing_trace, &baselines);
+    } else {
+        analysis.races = detectRaces(failing_trace);
+    }
+    const RaceReport &oracle = analysis.races;
     const RawDependence root = workload->buggyDependence();
     std::vector<RawDependence> predicted;
     for (const auto &candidate : act.report.ranked) {
@@ -342,31 +359,9 @@ runDiagnoseActImpl(const JobSpec &spec, TraceCache &cache,
                            : std::string("evicted");
 
     if (knobs.analyze) {
-        // Multi-detector ensemble: mine benign-interleaving baselines
-        // from the same passing traces training consumed (all cache
-        // hits), run every detector over the failing trace, and score
-        // ACT's predictions through each lens plus the fused union.
-        MinedBaselines baselines;
-        for (std::size_t i = 0; i < setup.training.traces; ++i) {
-            WorkloadParams train_params;
-            train_params.seed = setup.training.seed_base + i;
-            baselines.addPassingTrace(
-                cache.record(*workload, train_params));
-        }
-        PipelineOptions popts;
-        popts.hb_races = false; // Reuse `oracle` computed above.
-        popts.baselines = &baselines;
-        PipelineResult analysis = runAnalysisPipeline(failing_trace, popts);
-        analysis.races = oracle;
+        // Multi-detector ensemble: score ACT's predictions through each
+        // lens plus the fused union.
         const EnsembleScore ensemble = scoreEnsemble(analysis, predicted);
-
-        const auto lensKey = [](const std::string &name) {
-            std::string key; // "lock-order" -> "lockorder" etc.
-            for (const char c : name)
-                if (c != '-')
-                    key += c;
-            return key;
-        };
         const auto emitLens = [&result](const std::string &key,
                                         const OracleScore &s) {
             result.metrics["ens_" + key + "_tp"] =
@@ -377,14 +372,14 @@ runDiagnoseActImpl(const JobSpec &spec, TraceCache &cache,
             result.metrics["ens_" + key + "_recall"] = s.recall();
         };
         for (const auto &lens : ensemble.per_detector)
-            emitLens(lensKey(lens.first), lens.second);
+            emitLens(lens.first, lens.second);
         emitLens("fused", ensemble.fused);
 
         result.metrics["analysis_findings"] =
             static_cast<double>(analysis.report.size());
         for (std::size_t d = 0; d < kDetectorCount; ++d) {
             const auto kind = static_cast<DetectorKind>(d);
-            result.metrics["det_" + lensKey(detectorName(kind))] =
+            result.metrics[std::string("det_") + detectorName(kind)] =
                 static_cast<double>(analysis.report.countFor(kind));
         }
 
@@ -673,7 +668,6 @@ runCorpus(const JobSpec &spec, TraceCache &cache, JobResult &result)
     failure_params.seed = knobs.failure_seed;
     failure_params.trigger_failure = true;
     const Trace failing_trace = cache.record(*workload, failure_params);
-    const RaceReport oracle = detectRaces(failing_trace);
 
     MinedBaselines baselines;
     for (std::size_t i = 0; i < setup.training.traces; ++i) {
@@ -681,11 +675,9 @@ runCorpus(const JobSpec &spec, TraceCache &cache, JobResult &result)
         train_params.seed = setup.training.seed_base + i;
         baselines.addPassingTrace(cache.record(*workload, train_params));
     }
-    PipelineOptions popts;
-    popts.hb_races = false; // Reuse `oracle` computed above.
-    popts.baselines = &baselines;
-    PipelineResult analysis = runAnalysisPipeline(failing_trace, popts);
-    analysis.races = oracle;
+    const PipelineResult analysis =
+        runAnalysisPipeline(failing_trace, &baselines);
+    const RaceReport &oracle = analysis.races;
 
     bool lens_tp = false;
     std::size_t lens_fp = 0;

@@ -156,13 +156,6 @@ Snapshot::counterValue(const std::string &name) const
     return vol != volatile_counters.end() ? vol->second : 0;
 }
 
-std::int64_t
-Snapshot::gaugeValue(const std::string &name) const
-{
-    const auto it = gauges.find(name);
-    return it != gauges.end() ? it->second : 0;
-}
-
 Snapshot
 diffSnapshots(const Snapshot &newer, const Snapshot &older)
 {

@@ -189,9 +189,6 @@ struct Snapshot
 
     /** Value of a counter in either section (0 when absent). */
     std::uint64_t counterValue(const std::string &name) const;
-
-    /** Level of a gauge (0 when absent). */
-    std::int64_t gaugeValue(const std::string &name) const;
 };
 
 /**

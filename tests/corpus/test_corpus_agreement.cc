@@ -1,7 +1,7 @@
 /**
  * @file
  * Oracle-agreement regression over the pinned 32-variant CI slice:
- * for every variant, the correct execution is clean under all five
+ * for every variant, the correct execution is clean under all four
  * lenses (no detector findings, no happens-before races), and the
  * failing execution is flagged by exactly the lens the bug class was
  * engineered for — the detector finding (or HB race) covers the
@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "analysis/pipeline.hh"
-#include "analysis/race_oracle.hh"
 #include "corpus/corpus.hh"
 
 namespace act::corpus
@@ -55,13 +54,9 @@ TEST(CorpusAgreement, PinnedSliceMatchesItsCatalogs)
         {
             WorkloadParams params;
             params.seed = 314;
-            const Trace correct = workload->record(params);
-            EXPECT_TRUE(detectRaces(correct).empty());
-            PipelineOptions popts;
-            popts.hb_races = false;
-            popts.baselines = &baselines;
             const PipelineResult clean =
-                runAnalysisPipeline(correct, popts);
+                runAnalysisPipeline(workload->record(params), &baselines);
+            EXPECT_TRUE(clean.races.empty());
             EXPECT_TRUE(clean.report.empty()) << clean.report.toText();
         }
 
@@ -69,18 +64,13 @@ TEST(CorpusAgreement, PinnedSliceMatchesItsCatalogs)
         WorkloadParams params;
         params.seed = 999;
         params.trigger_failure = true;
-        const Trace failing = workload->record(params);
-        const RaceReport oracle = detectRaces(failing);
-        PipelineOptions popts;
-        popts.hb_races = false;
-        popts.baselines = &baselines;
         const PipelineResult analysis =
-            runAnalysisPipeline(failing, popts);
+            runAnalysisPipeline(workload->record(params), &baselines);
 
         const Pc store = catalog.root_store_pc;
         const Pc load = catalog.root_load_pc;
         if (catalog.lens == "hb") {
-            EXPECT_TRUE(oracle.isRacyPair(store, load))
+            EXPECT_TRUE(analysis.races.isRacyPair(store, load))
                 << "hb lens missed the root";
         } else if (catalog.lens == "lockset") {
             EXPECT_TRUE(analysis.report.matchesPair(

@@ -24,21 +24,20 @@
  *                            [--block N: events per block, default 512]
  *   analyze [<file.trc>... | name...]
  *                            run the multi-detector analysis pipeline
- *                            (lockset races, lock-order cycles,
- *                            atomicity violations, order violations +
- *                            the happens-before oracle). With .trc
- *                            files: analyse each in single-trace mode
- *                            and print every finding. With workload
- *                            names (all bug workloads + kernels by
- *                            default): mine atomicity/order baselines
- *                            from passing runs, analyse the failing
- *                            run, and check the detector verdicts
- *                            against the bug catalog — atomicity/order
- *                            bugs must be flagged by their own detector
- *                            class on the root dependence, and
- *                            sequential bugs must produce no findings
- *                            [--jobs N: detector-level parallelism; the
- *                             output is byte-identical for every N]
+ *                            (lockset races, atomicity violations,
+ *                            order violations + the happens-before
+ *                            oracle). With .trc files: analyse each in
+ *                            single-trace mode (no order checker: it
+ *                            needs passing runs) and print every
+ *                            finding. With workload names (all bug
+ *                            workloads + kernels by default): mine
+ *                            atomicity/order baselines from passing
+ *                            runs, analyse the failing run, and check
+ *                            the detector verdicts against the bug
+ *                            catalog — atomicity/order bugs must be
+ *                            flagged by their own detector class on the
+ *                            root dependence, and sequential bugs must
+ *                            produce no findings
  *   catalog <file.json>...   validate corpus bug catalogs: JSON shape,
  *                            schema tag, class/lens pairing, PC sanity,
  *                            parameter ranges and name/body agreement
@@ -98,7 +97,7 @@ usage()
         " dir\n"
         "  stream <file.trc>... [--block N] batch-lint traces as event"
         " blocks\n"
-        "  analyze [<file.trc>...|name...] [--jobs N]\n"
+        "  analyze [<file.trc>...|name...]\n"
         "                                  run the detector pipeline on"
         " traces, or\n"
         "                                  on workload runs with"
@@ -362,7 +361,7 @@ cmdStream(const std::vector<std::string> &args, std::size_t block_events)
 
 /** Trace mode of `analyze`: single-trace pipeline, full findings. */
 int
-cmdAnalyzeTraces(const std::vector<std::string> &args, unsigned jobs)
+cmdAnalyzeTraces(const std::vector<std::string> &args)
 {
     std::size_t errors = 0;
     for (const std::string &path : args) {
@@ -374,9 +373,7 @@ cmdAnalyzeTraces(const std::vector<std::string> &args, unsigned jobs)
             ++errors;
             continue;
         }
-        PipelineOptions options;
-        options.jobs = jobs;
-        const PipelineResult result = runAnalysisPipeline(trace, options);
+        const PipelineResult result = runAnalysisPipeline(trace);
         std::printf("%s: %zu event(s), %zu finding(s), %zu racy "
                     "pair(s)\n",
                     path.c_str(), trace.size(), result.report.size(),
@@ -393,7 +390,7 @@ cmdAnalyzeTraces(const std::vector<std::string> &args, unsigned jobs)
  * catalog. Returns the number of disagreements.
  */
 std::size_t
-analyzeWorkload(const std::string &name, unsigned jobs)
+analyzeWorkload(const std::string &name)
 {
     constexpr std::uint64_t kMineSeedBase = 100;
     constexpr std::size_t kMineTraces = 10;
@@ -414,19 +411,13 @@ analyzeWorkload(const std::string &name, unsigned jobs)
     failing.trigger_failure = has_bug;
     const Trace trace = workload->record(failing);
 
-    PipelineOptions options;
-    options.jobs = jobs;
-    options.baselines = &baselines;
-    const PipelineResult result = runAnalysisPipeline(trace, options);
+    const PipelineResult result = runAnalysisPipeline(trace, &baselines);
 
     char counts[128];
     std::snprintf(counts, sizeof(counts),
-                  "lockset=%llu lockorder=%llu atomicity=%llu "
-                  "order=%llu hb=%zu",
+                  "lockset=%llu atomicity=%llu order=%llu hb=%zu",
                   static_cast<unsigned long long>(
                       result.report.countFor(DetectorKind::kLockset)),
-                  static_cast<unsigned long long>(
-                      result.report.countFor(DetectorKind::kLockOrder)),
                   static_cast<unsigned long long>(
                       result.report.countFor(DetectorKind::kAtomicity)),
                   static_cast<unsigned long long>(
@@ -503,7 +494,7 @@ analyzeWorkload(const std::string &name, unsigned jobs)
 }
 
 int
-cmdAnalyze(const std::vector<std::string> &args, unsigned jobs)
+cmdAnalyze(const std::vector<std::string> &args)
 {
     // Any .trc argument selects trace mode (and then all must be .trc).
     const auto isTraceFile = [](const std::string &arg) {
@@ -521,7 +512,7 @@ cmdAnalyze(const std::vector<std::string> &args, unsigned jobs)
                                  "workload names is not supported\n");
             return kExitUsage;
         }
-        return cmdAnalyzeTraces(args, jobs);
+        return cmdAnalyzeTraces(args);
     }
 
     registerAllWorkloads();
@@ -535,7 +526,7 @@ cmdAnalyze(const std::vector<std::string> &args, unsigned jobs)
             ++errors;
             continue;
         }
-        errors += analyzeWorkload(name, jobs);
+        errors += analyzeWorkload(name);
     }
     std::printf("%zu workload(s) analysed, %zu disagreement(s)\n",
                 names.size(), errors);
@@ -645,7 +636,6 @@ run(int argc, char **argv)
     bool show_races = false;
     std::string cache_dir;
     std::size_t block_events = 512;
-    unsigned pipeline_jobs = 1;
     std::vector<std::string> args;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -657,10 +647,6 @@ run(int argc, char **argv)
             block_events =
                 static_cast<std::size_t>(std::strtoull(argv[++i],
                                                        nullptr, 10));
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            pipeline_jobs =
-                static_cast<unsigned>(std::strtoul(argv[++i],
-                                                   nullptr, 10));
         } else if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
             return kExitUsage;
@@ -678,7 +664,7 @@ run(int argc, char **argv)
     if (command == "stream")
         return cmdStream(args, block_events);
     if (command == "analyze")
-        return cmdAnalyze(args, pipeline_jobs);
+        return cmdAnalyze(args);
     if (command == "catalog")
         return cmdCatalog(args);
     if (command == "config")

@@ -29,8 +29,6 @@
  *                   pipeline over every cached trace and write the
  *                   deterministic per-trace report to <out>/analysis.txt
  *                   (report.json/report.csv are untouched)
- *   --no-analysis   force JobKnobs::analyze off on every job (the
- *                   byte-identity check for the dormancy contract)
  *   --log-level L     quiet | normal | debug
  *
  * Exit codes for `run`: 0 = all jobs succeeded, 3 = the campaign
@@ -82,7 +80,6 @@ struct Options
     std::string trace_out;
     std::uint64_t metrics_interval_s = 0;
     bool analyze = false;
-    bool no_analysis = false;
     std::vector<std::string> positional;
 };
 
@@ -216,8 +213,6 @@ parse(int argc, char **argv)
                           << text);
         } else if (arg == "--analyze") {
             options.analyze = true;
-        } else if (arg == "--no-analysis") {
-            options.no_analysis = true;
         } else if (arg == "--metrics-out" && i + 1 < argc) {
             options.metrics_out = argv[++i];
         } else if (arg == "--trace-out" && i + 1 < argc) {
@@ -269,11 +264,7 @@ cmdRun(const Options &options)
     if (!campaignExists(name))
         ACT_FATAL("unknown campaign: " << name
                                        << " (see `actrun list`)");
-    Campaign campaign = makeCampaign(name);
-    if (options.no_analysis) {
-        for (JobSpec &job : campaign.jobs)
-            job.knobs.analyze = false;
-    }
+    const Campaign campaign = makeCampaign(name);
 
     const std::string out =
         options.out.empty() ? "actrun-out/" + name : options.out;
@@ -456,8 +447,7 @@ usage()
                  "[--out DIR] [--cache DIR] [--no-mem-cache] "
                  "[--verbose] [--fail-fast] [--max-attempts N] "
                  "[--deadline-ms N] [--metrics-out F] [--trace-out F] "
-                 "[--metrics-interval S] [--analyze] [--no-analysis] "
-                 "[--log-level L]\n");
+                 "[--metrics-interval S] [--analyze] [--log-level L]\n");
     return 2;
 }
 
