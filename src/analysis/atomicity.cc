@@ -132,9 +132,7 @@ detectAtomicityViolations(const Trace &trace,
     AtomicityDetector detector(baseline);
     for (const TraceEvent &event : trace.events())
         detector.observe(event);
-    AnalysisReport report = detector.takeReport();
-    report.events_analyzed = trace.size();
-    return report;
+    return detector.takeReport();
 }
 
 } // namespace act

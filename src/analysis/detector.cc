@@ -65,7 +65,6 @@ AnalysisReport::merge(const AnalysisReport &other)
 {
     for (const AnalysisFinding &finding : other.findings_)
         add(finding);
-    events_analyzed += other.events_analyzed;
 }
 
 std::vector<AnalysisFinding>

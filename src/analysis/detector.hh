@@ -139,9 +139,6 @@ class AnalysisReport
     /** One finding per line, ranked; "" when empty. */
     std::string toText() const;
 
-    /** Events each detector consumed (set by the driver). */
-    std::uint64_t events_analyzed = 0;
-
   private:
     std::vector<AnalysisFinding> findings_;
     std::unordered_map<std::uint64_t, std::size_t> index_; //!< key -> slot.

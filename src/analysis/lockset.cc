@@ -177,9 +177,7 @@ detectLocksetRaces(const Trace &trace)
     LocksetDetector detector;
     for (const TraceEvent &event : trace.events())
         detector.observe(event);
-    AnalysisReport report = detector.takeReport();
-    report.events_analyzed = trace.size();
-    return report;
+    return detector.takeReport();
 }
 
 } // namespace act

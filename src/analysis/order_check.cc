@@ -68,7 +68,6 @@ checkOrderViolations(const Trace &trace,
                      const OrderInvariants &invariants)
 {
     AnalysisReport report;
-    report.events_analyzed = trace.size();
 
     // Intra-thread dependences are ordered by program order and never
     // checked, which is what keeps single-threaded (sequential-bug)

@@ -53,6 +53,8 @@ PipelineResult::toText() const
     char buf[96];
     for (std::size_t d = 0; d < kDetectorCount; ++d) {
         const auto kind = static_cast<DetectorKind>(d);
+        if (kind == DetectorKind::kOrder && !order_checked)
+            continue;
         std::snprintf(buf, sizeof(buf), "%-10s %zu finding(s)\n",
                       detectorName(kind), report.countFor(kind));
         out += buf;
@@ -81,13 +83,15 @@ runAnalysisPipeline(const Trace &trace, const MinedBaselines *baselines)
     result.report.merge(detectLocksetRaces(trace));
     result.report.merge(detectAtomicityViolations(
         trace, baselines != nullptr ? &baselines->atomicity : nullptr));
-    if (baselines != nullptr)
+    if (baselines != nullptr) {
         result.report.merge(checkOrderViolations(trace, baselines->order));
+        result.order_checked = true;
+    }
     result.races = detectRaces(trace);
 
     const AnalysisMetrics &m = AnalysisMetrics::get();
     m.runs.inc();
-    m.events.add(result.report.events_analyzed);
+    m.events.add(trace.size());
     m.findings.add(result.report.size());
     m.racy_pairs.add(result.races.races().size());
     return result;

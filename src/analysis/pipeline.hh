@@ -61,9 +61,13 @@ struct PipelineResult
     /** The happens-before oracle's racy pairs. */
     RaceReport races;
 
+    /** Whether the order lens ran (it needs mined invariants). */
+    bool order_checked = false;
+
     /**
-     * Deterministic rendering: per-detector finding counts, then the
-     * ranked findings, then the oracle's racy pairs.
+     * Deterministic rendering: per-detector finding counts (none for
+     * the order lens when it did not run), then the ranked findings,
+     * then the oracle's racy pairs.
      */
     std::string toText() const;
 };

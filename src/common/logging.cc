@@ -117,13 +117,6 @@ formatLogEvent(const std::string &event,
 }
 
 void
-logEvent(const std::string &event, const std::vector<LogField> &fields)
-{
-    if (g_level != LogLevel::kQuiet)
-        logging_detail::emit("info", formatLogEvent(event, fields));
-}
-
-void
 logWarnEvent(const std::string &event,
              const std::vector<LogField> &fields)
 {

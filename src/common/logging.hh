@@ -109,13 +109,9 @@ std::string formatLogEvent(const std::string &event,
                            const std::vector<LogField> &fields);
 
 /**
- * Emit a structured key=value status line at info level (suppressed
- * when kQuiet), e.g. `info: runner.retry job=3 attempt=1 backoff_ms=12`.
+ * Structured key=value warning line (never suppressed), e.g.
+ * `warn: cache.quarantine path=t.trc reason=checksum_mismatch`.
  */
-void logEvent(const std::string &event,
-              const std::vector<LogField> &fields);
-
-/** Structured warning line (never suppressed). */
 void logWarnEvent(const std::string &event,
                   const std::vector<LogField> &fields);
 

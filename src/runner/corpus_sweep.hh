@@ -3,8 +3,8 @@
  * Corpus sweep aggregation: join kCorpus job results back into the
  * per-bug-class precision/recall report.
  *
- * A corpus campaign is hundreds of independent kCorpus jobs flowing
- * through the ordinary runner (cache, retries, --jobs). Each job
+ * A corpus campaign is independent kCorpus jobs flowing through the
+ * ordinary runner (cache, --jobs). Each job
  * deposits its joined diagnosis-vs-catalog outcome as flat metrics;
  * this translation layer lifts those rows into corpus::CorpusOutcome
  * records and renders the deterministic `table6-corpus` table. Failed

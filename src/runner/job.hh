@@ -14,10 +14,8 @@
 #ifndef ACT_RUNNER_JOB_HH
 #define ACT_RUNNER_JOB_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -43,34 +41,12 @@ enum class JobKind : std::uint8_t
 /** Why a job's result slot carries no trustworthy numbers. */
 enum class JobFailure : std::uint8_t
 {
-    kNone,             //!< The job ran to completion.
-    kException,        //!< It threw; JobResult::error holds the message.
-    kTimeout,          //!< It exceeded its wall-clock deadline.
-    kRetriesExhausted, //!< Transient failures on every allowed attempt.
-    kSkipped           //!< Never ran (--fail-fast after a failure).
+    kNone,      //!< The job ran to completion.
+    kException, //!< It threw; JobResult::error holds the message.
+    kSkipped    //!< Never ran (--fail-fast after a failure).
 };
 
 const char *jobFailureName(JobFailure failure);
-
-/**
- * Thrown by a job to signal a failure worth retrying (a glitch, not a
- * bug): the runner re-attempts it with backoff up to its attempt
- * budget. Any other exception is treated as permanent.
- */
-class TransientError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
-/** Fault a job injects into *itself* (runner resilience testing). */
-enum class InjectedFault : std::uint8_t
-{
-    kNone,
-    kCrash,     //!< Throw on every attempt (permanent failure).
-    kHang,      //!< Spin until the deadline watchdog cancels the job.
-    kTransient  //!< Throw TransientError on the first N attempts.
-};
 
 /** Diagnosis scheme a job exercises (informational in report rows). */
 enum class Scheme : std::uint8_t
@@ -128,12 +104,9 @@ struct JobKnobs
      */
     bool analyze = false;
 
-    // Resilience jobs (kResilience) and runner fault injection.
-    double fault_rate = 0.0;        //!< Uniform FaultPlan rate.
-    std::uint64_t fault_seed = 1;   //!< FaultPlan seed.
-    InjectedFault inject_fault = InjectedFault::kNone;
-    std::uint32_t inject_fail_attempts = 0; //!< kTransient: throwing attempts.
-    std::uint64_t deadline_ms = 0;  //!< Per-job deadline; 0 = run default.
+    // Resilience and adaptivity jobs (kResilience, kAdaptivity).
+    double fault_rate = 0.0;      //!< Uniform FaultPlan rate.
+    std::uint64_t fault_seed = 1; //!< FaultPlan seed.
 
     // Adaptivity jobs (kAdaptivity). Off by default: a diagnose-act
     // cell with it untouched is bit-identical to the pre-adaptivity
@@ -164,13 +137,11 @@ struct JobResult
     bool ok = false;
 
     /**
-     * Why ok is false (kNone while ok). Serialised — with error and
-     * attempts — only for failing or retried jobs, so fault-free
-     * reports stay byte-identical to pre-resilience ones.
+     * Why ok is false (kNone while ok). Serialised, with error, only
+     * for failed jobs, so a fault-free report carries neither.
      */
     JobFailure failure = JobFailure::kNone;
-    std::string error;          //!< Diagnostic for a failed job.
-    std::uint32_t attempts = 1; //!< Attempts consumed (retries + 1).
+    std::string error; //!< Diagnostic for a failed job.
 
     /** Numeric outcomes; ordered map for stable serialisation. */
     std::map<std::string, double> metrics;
@@ -182,25 +153,11 @@ struct JobResult
 };
 
 /**
- * Per-attempt execution context the runner hands to a job: which
- * attempt this is, and the deadline watchdog's cancel flag, which
- * long-running phases may poll to stop early.
- */
-struct JobContext
-{
-    std::uint32_t attempt = 0; //!< 0-based attempt index.
-    const std::atomic<bool> *cancel = nullptr;
-
-    bool cancelled() const { return cancel != nullptr && cancel->load(); }
-};
-
-/**
  * Execute one job. All trace recordings go through @p cache; the
  * workload registry must already be populated. May throw — the
  * runner's executor turns exceptions into structured failed results.
  */
-JobResult runJob(const JobSpec &spec, TraceCache &cache,
-                 const JobContext &context = {});
+JobResult runJob(const JobSpec &spec, TraceCache &cache);
 
 /** A campaign: a named, ordered list of jobs. */
 struct Campaign

@@ -11,9 +11,8 @@
 #include "runner/job.hh"
 
 #include <chrono>
-#include <thread>
-
 #include <set>
+#include <stdexcept>
 
 #include "analysis/finding.hh"
 #include "analysis/pipeline.hh"
@@ -749,8 +748,6 @@ jobFailureName(JobFailure failure)
     switch (failure) {
       case JobFailure::kNone: return "none";
       case JobFailure::kException: return "exception";
-      case JobFailure::kTimeout: return "timeout";
-      case JobFailure::kRetriesExhausted: return "retries-exhausted";
       case JobFailure::kSkipped: return "skipped";
     }
     return "?";
@@ -768,40 +765,11 @@ schemeName(Scheme scheme)
 }
 
 JobResult
-runJob(const JobSpec &spec, TraceCache &cache, const JobContext &context)
+runJob(const JobSpec &spec, TraceCache &cache)
 {
     JobResult result;
     result.id = spec.id;
     const auto start = std::chrono::steady_clock::now();
-
-    // Self-injected runner faults (resilience tests exercise the
-    // executor's exception/timeout/retry handling through these).
-    switch (spec.knobs.inject_fault) {
-      case InjectedFault::kNone:
-        break;
-      case InjectedFault::kCrash:
-        throw std::runtime_error(
-            formatCell("injected crash (job %u)", spec.id));
-      case InjectedFault::kHang:
-        // Cooperative hang: spin until the deadline watchdog cancels
-        // the attempt, then surface the cancellation as an error. A
-        // hang with no watchdog armed would spin forever; refuse it.
-        if (context.cancel == nullptr) {
-            throw std::runtime_error(formatCell(
-                "injected hang needs a deadline (job %u)", spec.id));
-        }
-        while (!context.cancelled())
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        throw std::runtime_error(
-            formatCell("injected hang cancelled (job %u)", spec.id));
-      case InjectedFault::kTransient:
-        if (context.attempt < spec.knobs.inject_fail_attempts) {
-            throw TransientError(formatCell(
-                "injected transient fault (job %u, attempt %u)", spec.id,
-                context.attempt));
-        }
-        break;
-    }
 
     switch (spec.kind) {
       case JobKind::kPrediction:

@@ -50,17 +50,14 @@ reportJson(const Campaign &campaign, const std::vector<JobResult> &results)
         out << "      \"kind\": \"" << jobKindName(spec.kind) << "\",\n";
         out << "      \"seed\": " << spec.seed << ",\n";
         out << "      \"ok\": " << (result.ok ? "true" : "false") << ",\n";
-        // Failure fields appear only for failed or retried jobs:
-        // fault-free reports stay byte-identical to the pre-resilience
-        // schema.
+        // Failure fields appear only for failed jobs: fault-free
+        // reports stay byte-identical to the pre-resilience schema.
         if (result.failure != JobFailure::kNone) {
             out << "      \"failure\": \""
                 << jobFailureName(result.failure) << "\",\n";
             out << "      \"error\": \"" << jsonEscape(result.error)
                 << "\",\n";
         }
-        if (result.failure != JobFailure::kNone || result.attempts > 1)
-            out << "      \"attempts\": " << result.attempts << ",\n";
         out << "      \"metrics\": {";
         bool first = true;
         for (const auto &[key, value] : result.metrics) {
@@ -115,12 +112,6 @@ reportCsv(const Campaign &campaign, const std::vector<JobResult> &results)
             row << "failure," << jobFailureName(result.failure) << "\n";
             prefix(row);
             row << "error," << csvSanitise(result.error) << "\n";
-            out << row.str();
-        }
-        if (result.failure != JobFailure::kNone || result.attempts > 1) {
-            std::ostringstream row;
-            prefix(row);
-            row << "attempts," << result.attempts << "\n";
             out << row.str();
         }
         std::ostringstream row;

@@ -1,16 +1,10 @@
 #include "runner/runner.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <memory>
-#include <mutex>
-#include <thread>
+#include <exception>
 
-#include "common/hashing.hh"
-#include "common/logging.hh"
 #include "runner/thread_pool.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/spans.hh"
@@ -22,25 +16,19 @@ namespace act
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
-
 /**
  * Runner metric handles, registered once. Job-outcome counts are
- * kStable: for a campaign that neither times out nor trips fail-fast,
- * every job's outcome is a pure function of its spec, so the sums are
- * thread-count independent. Timeouts, watchdog fires and fail-fast
- * skips are scheduling/timing artefacts and stay kVolatile.
+ * kStable: for a campaign that does not trip fail-fast, every job's
+ * outcome is a pure function of its spec, so the sums are thread-count
+ * independent. Fail-fast skips are a scheduling artefact and stay
+ * kVolatile.
  */
 struct RunnerMetrics
 {
     telemetry::Counter campaigns;
     telemetry::Counter jobs_ok;
     telemetry::Counter jobs_failed;
-    telemetry::Counter attempts;
-    telemetry::Counter retries;
     telemetry::Counter jobs_skipped;
-    telemetry::Counter timeouts;
-    telemetry::Counter watchdog_fires;
     telemetry::LatencyHistogram job_ms;
 
     static const RunnerMetrics &
@@ -52,14 +40,8 @@ struct RunnerMetrics
             m.campaigns = reg.counter("runner.campaigns");
             m.jobs_ok = reg.counter("runner.jobs_ok");
             m.jobs_failed = reg.counter("runner.jobs_failed");
-            m.attempts = reg.counter("runner.attempts");
-            m.retries = reg.counter("runner.retries");
             m.jobs_skipped = reg.counter(
                 "runner.jobs_skipped", telemetry::Stability::kVolatile);
-            m.timeouts = reg.counter("runner.timeouts",
-                                     telemetry::Stability::kVolatile);
-            m.watchdog_fires = reg.counter(
-                "runner.watchdog_fires", telemetry::Stability::kVolatile);
             m.job_ms = reg.histogram("runner.job_ms");
             return m;
         }();
@@ -68,213 +50,34 @@ struct RunnerMetrics
 };
 
 /**
- * One background thread enforcing per-attempt wall-clock deadlines.
- * An attempt arms a cancel flag with its deadline; the watchdog sets
- * the flag once the deadline passes. Cancellation is cooperative —
- * jobs poll JobContext::cancelled() from their long-running phases —
- * so no thread is ever killed and every worker joins cleanly.
- */
-class DeadlineWatchdog
-{
-  public:
-    DeadlineWatchdog() : thread_([this] { loop(); }) {}
-
-    ~DeadlineWatchdog()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        thread_.join();
-    }
-
-    std::shared_ptr<std::atomic<bool>>
-    arm(Clock::time_point deadline, std::uint32_t job)
-    {
-        auto cancel = std::make_shared<std::atomic<bool>>(false);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            armed_.push_back({deadline, cancel, job});
-        }
-        cv_.notify_all();
-        return cancel;
-    }
-
-    void
-    disarm(const std::shared_ptr<std::atomic<bool>> &cancel)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        armed_.erase(std::remove_if(armed_.begin(), armed_.end(),
-                                    [&cancel](const Entry &e) {
-                                        return e.cancel == cancel;
-                                    }),
-                     armed_.end());
-    }
-
-  private:
-    struct Entry
-    {
-        Clock::time_point deadline;
-        std::shared_ptr<std::atomic<bool>> cancel;
-        std::uint32_t job = 0;
-    };
-
-    void
-    loop()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        while (!stop_) {
-            if (armed_.empty()) {
-                cv_.wait(lock);
-                continue;
-            }
-            Clock::time_point earliest = armed_.front().deadline;
-            for (const Entry &e : armed_)
-                earliest = std::min(earliest, e.deadline);
-            cv_.wait_until(lock, earliest);
-            const auto now = Clock::now();
-            for (Entry &e : armed_) {
-                if (e.deadline <= now) {
-                    e.cancel->store(true);
-                    RunnerMetrics::get().watchdog_fires.inc();
-                    telemetry::SpanTracer::global().instant(
-                        "watchdog_fire", "runner",
-                        {telemetry::arg("job", std::uint64_t{e.job})});
-                    logWarnEvent("runner.watchdog_fire",
-                                 {logField("job", std::uint64_t{e.job})});
-                }
-            }
-            armed_.erase(std::remove_if(armed_.begin(), armed_.end(),
-                                        [now](const Entry &e) {
-                                            return e.deadline <= now;
-                                        }),
-                         armed_.end());
-        }
-    }
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::vector<Entry> armed_;
-    bool stop_ = false;
-    std::thread thread_;
-};
-
-/**
- * Run one job under the resilience policy: per-attempt deadline,
- * bounded retry with exponential backoff (+ deterministic jitter) for
- * TransientError, and every other escape turned into a structured
- * failed result — a throwing job never takes the campaign down.
+ * Run one job with exception isolation: whatever escapes it becomes a
+ * structured kException result — a throwing job never takes the
+ * campaign down, and the job is not re-run, since re-running a
+ * deterministic job reproduces its failure.
  */
 JobResult
-executeJob(const JobSpec &spec, TraceCache &cache,
-           const RunOptions &options, DeadlineWatchdog *watchdog)
+executeJob(const JobSpec &spec, TraceCache &cache)
 {
-    const std::uint64_t deadline_ms = spec.knobs.deadline_ms != 0
-                                          ? spec.knobs.deadline_ms
-                                          : options.deadline_ms;
-    const std::uint32_t max_attempts = std::max(1u, options.max_attempts);
+    const RunnerMetrics &metrics = RunnerMetrics::get();
+    telemetry::ScopedSpan span("job:" + spec.workload, "runner");
+    span.annotate(telemetry::arg("job", std::uint64_t{spec.id}));
+    span.annotate(telemetry::arg("kind", jobKindName(spec.kind)));
 
     JobResult failed;
     failed.id = spec.id;
-    failed.ok = false;
-
-    const RunnerMetrics &metrics = RunnerMetrics::get();
-
-    for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-        std::shared_ptr<std::atomic<bool>> cancel;
-        if (deadline_ms != 0 && watchdog != nullptr) {
-            cancel = watchdog->arm(Clock::now() +
-                                       std::chrono::milliseconds(
-                                           deadline_ms),
-                                   spec.id);
-        }
-        metrics.attempts.inc();
-        telemetry::ScopedSpan span("job:" + spec.workload, "runner");
-        span.annotate(telemetry::arg("job", std::uint64_t{spec.id}));
-        span.annotate(telemetry::arg("kind", jobKindName(spec.kind)));
-        span.annotate(
-            telemetry::arg("attempt", std::uint64_t{attempt}));
-        JobContext context;
-        context.attempt = attempt;
-        context.cancel = cancel.get();
-        try {
-            JobResult result = runJob(spec, cache, context);
-            if (cancel)
-                watchdog->disarm(cancel);
-            result.attempts = attempt + 1;
-            metrics.jobs_ok.inc();
-            metrics.job_ms.record(
-                static_cast<std::uint64_t>(result.wall_ms));
-            span.annotate(telemetry::arg("outcome", "ok"));
-            return result;
-        } catch (const TransientError &e) {
-            if (cancel)
-                watchdog->disarm(cancel);
-            failed.failure = JobFailure::kRetriesExhausted;
-            failed.error = e.what();
-            failed.attempts = attempt + 1;
-            span.annotate(telemetry::arg("outcome", "transient"));
-            if (attempt + 1 < max_attempts) {
-                metrics.retries.inc();
-                telemetry::SpanTracer::global().instant(
-                    "retry", "runner",
-                    {telemetry::arg("job", std::uint64_t{spec.id}),
-                     telemetry::arg("attempt", std::uint64_t{attempt})});
-            }
-            if (attempt + 1 < max_attempts &&
-                options.retry_backoff_ms != 0) {
-                // Exponential backoff with deterministic jitter: the
-                // delay is a pure function of (seed, job, attempt), so
-                // sweeps replay the same schedule run over run.
-                const std::uint64_t base = options.retry_backoff_ms
-                                           << attempt;
-                const std::uint64_t jitter =
-                    hash3(options.retry_seed, spec.id, attempt) %
-                    (base + 1);
-                logEvent("runner.retry",
-                         {logField("job", std::uint64_t{spec.id}),
-                          logField("workload", spec.workload),
-                          logField("attempt", std::uint64_t{attempt}),
-                          logField("backoff_ms", base + jitter),
-                          logField("error", failed.error)});
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(base + jitter));
-            } else if (attempt + 1 < max_attempts) {
-                logEvent("runner.retry",
-                         {logField("job", std::uint64_t{spec.id}),
-                          logField("workload", spec.workload),
-                          logField("attempt", std::uint64_t{attempt}),
-                          logField("error", failed.error)});
-            }
-        } catch (const std::exception &e) {
-            const bool timed_out = cancel && cancel->load();
-            if (cancel)
-                watchdog->disarm(cancel);
-            failed.failure = timed_out ? JobFailure::kTimeout
-                                       : JobFailure::kException;
-            failed.error = e.what();
-            failed.attempts = attempt + 1;
-            span.annotate(telemetry::arg(
-                "outcome", timed_out ? "timeout" : "exception"));
-            if (timed_out)
-                metrics.timeouts.inc();
-            break; // Permanent: retrying a bug reproduces the bug.
-        } catch (...) {
-            const bool timed_out = cancel && cancel->load();
-            if (cancel)
-                watchdog->disarm(cancel);
-            failed.failure = timed_out ? JobFailure::kTimeout
-                                       : JobFailure::kException;
-            failed.error = "unknown exception";
-            failed.attempts = attempt + 1;
-            span.annotate(telemetry::arg(
-                "outcome", timed_out ? "timeout" : "exception"));
-            if (timed_out)
-                metrics.timeouts.inc();
-            break;
-        }
+    failed.failure = JobFailure::kException;
+    try {
+        JobResult result = runJob(spec, cache);
+        metrics.jobs_ok.inc();
+        metrics.job_ms.record(static_cast<std::uint64_t>(result.wall_ms));
+        span.annotate(telemetry::arg("outcome", "ok"));
+        return result;
+    } catch (const std::exception &e) {
+        failed.error = e.what();
+    } catch (...) {
+        failed.error = "unknown exception";
     }
+    span.annotate(telemetry::arg("outcome", "exception"));
     metrics.jobs_failed.inc();
     return failed;
 }
@@ -296,16 +99,6 @@ runCampaign(const Campaign &campaign, const RunOptions &options)
     run.results.resize(campaign.jobs.size());
 
     TraceCache cache(options.cache_dir, options.memory_cache);
-
-    // The watchdog thread exists only when some job can have a
-    // deadline; deadline-free campaigns pay nothing.
-    bool any_deadline = options.deadline_ms != 0;
-    for (const JobSpec &spec : campaign.jobs)
-        any_deadline = any_deadline || spec.knobs.deadline_ms != 0;
-    std::unique_ptr<DeadlineWatchdog> watchdog;
-    if (any_deadline)
-        watchdog = std::make_unique<DeadlineWatchdog>();
-
     std::atomic<bool> abort{false};
 
     const auto start = std::chrono::steady_clock::now();
@@ -314,8 +107,7 @@ runCampaign(const Campaign &campaign, const RunOptions &options)
         run.threads = pool.threadCount();
         for (const JobSpec &spec : campaign.jobs) {
             JobResult &slot = run.results[spec.id];
-            pool.submit([&spec, &slot, &cache, &options, &abort,
-                         watchdog_raw = watchdog.get()] {
+            pool.submit([&spec, &slot, &cache, &options, &abort] {
                 if (abort.load()) {
                     slot.id = spec.id;
                     slot.ok = false;
@@ -325,7 +117,7 @@ runCampaign(const Campaign &campaign, const RunOptions &options)
                     RunnerMetrics::get().jobs_skipped.inc();
                     return;
                 }
-                slot = executeJob(spec, cache, options, watchdog_raw);
+                slot = executeJob(spec, cache);
                 if (slot.failure != JobFailure::kNone &&
                     !options.keep_going) {
                     abort.store(true);

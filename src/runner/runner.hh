@@ -34,24 +34,11 @@ struct RunOptions
     bool verbose = false;
 
     /**
-     * Keep running after a job fails permanently (true, the default:
-     * the report carries every failure). False = fail fast: jobs not
-     * yet started are recorded as kSkipped.
+     * Keep running after a job fails (true, the default: the report
+     * carries every failure). False = fail fast: jobs not yet started
+     * are recorded as kSkipped.
      */
     bool keep_going = true;
-
-    /** Attempt budget per job; only TransientError consumes retries. */
-    std::uint32_t max_attempts = 3;
-
-    /** Default per-job wall-clock deadline in ms (0 = none). A job's
-     *  JobKnobs::deadline_ms overrides it. */
-    std::uint64_t deadline_ms = 0;
-
-    /** Base backoff between retry attempts (doubles per attempt). */
-    std::uint64_t retry_backoff_ms = 10;
-
-    /** Seed for the deterministic retry-backoff jitter. */
-    std::uint64_t retry_seed = 0x5eed;
 };
 
 /** A finished campaign. */

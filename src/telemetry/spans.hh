@@ -3,8 +3,8 @@
  * Span/phase tracer with Chrome trace_event export.
  *
  * Records named timed scopes (campaign jobs, trace decodes, diagnosis
- * phases, cache lookups) and instant markers (mode flips, retries,
- * watchdog fires, fault injections) into per-thread logs, then exports
+ * phases, cache lookups) and instant markers (mode flips, quarantines,
+ * fault injections) into per-thread logs, then exports
  * the whole run as Chrome `trace_event` JSON — the format
  * `chrome://tracing` and Perfetto load directly, so a campaign's
  * wall-clock breakdown becomes a flamechart instead of folklore.

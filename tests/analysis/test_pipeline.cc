@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "analysis/pipeline.hh"
+#include "telemetry/metrics.hh"
 #include "trace/io.hh"
 #include "workloads/bugs.hh"
 #include "workloads/workload.hh"
@@ -67,10 +68,42 @@ TEST(Pipeline, EveryDetectorClassFires)
     EXPECT_GT(result.report.countFor(DetectorKind::kAtomicity), 0u);
     EXPECT_GT(result.report.countFor(DetectorKind::kOrder), 0u);
     EXPECT_FALSE(result.races.empty());
-    EXPECT_GT(result.report.events_analyzed, 0u);
     // Every finding carries a dynamic witness.
     for (const AnalysisFinding &finding : result.report.findings())
         EXPECT_FALSE(finding.witness_seqs.empty()) << finding.code;
+}
+
+TEST(Pipeline, EventsCounterCountsEachEventOnce)
+{
+    // Every lens runs here (the order lens because baselines are
+    // given), yet the trace is one pass over its events.
+    const Trace trace = everyDetectorTrace();
+    const MinedBaselines baselines;
+    auto &reg = telemetry::MetricsRegistry::global();
+    const bool was_enabled = reg.enabled();
+    reg.setEnabled(true);
+    const std::uint64_t before =
+        reg.snapshot().counterValue("analysis.events");
+    runAnalysisPipeline(trace, &baselines);
+    const std::uint64_t after =
+        reg.snapshot().counterValue("analysis.events");
+    reg.setEnabled(was_enabled);
+    EXPECT_EQ(after - before, trace.size());
+}
+
+TEST(Pipeline, TextHasAnOrderLineOnlyWhenTheLensRan)
+{
+    // Without mined invariants the order lens does not run, so the
+    // text must not read as a clean order verdict. The count lines
+    // start at lockset, so an order line always follows a newline.
+    const MinedBaselines baselines;
+    EXPECT_EQ(runAnalysisPipeline(everyDetectorTrace()).toText().find(
+                  "\norder "),
+              std::string::npos);
+    EXPECT_NE(runAnalysisPipeline(everyDetectorTrace(), &baselines)
+                  .toText()
+                  .find("\norder "),
+              std::string::npos);
 }
 
 TEST(Pipeline, TextIsByteIdenticalAcrossDecodePaths)

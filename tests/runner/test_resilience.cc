@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the runner's resilience layer: structured failure capture,
- * deadline cancellation, transient-retry accounting, fail-fast
- * skipping, and the rate-0 equivalence of resilience jobs.
+ * Tests for the runner's failure handling — structured failure capture,
+ * fail-fast skipping and the report's failure fields — plus the shape
+ * of the table-resilience campaign and the rate-0 equivalence of its
+ * jobs.
  */
 
 #include <gtest/gtest.h>
@@ -36,11 +37,19 @@ quickJob(std::uint32_t id)
     return spec;
 }
 
+/**
+ * A real failing job: a corpus cell whose workload is not a valid
+ * corpus name, which the corpus job rejects by throwing before it
+ * records anything.
+ */
 JobSpec
-faultyJob(std::uint32_t id, InjectedFault fault)
+failingJob(std::uint32_t id)
 {
-    JobSpec spec = quickJob(id);
-    spec.knobs.inject_fault = fault;
+    JobSpec spec;
+    spec.id = id;
+    spec.kind = JobKind::kCorpus;
+    spec.scheme = Scheme::kAct;
+    spec.workload = "corpus/nope/x/1";
     return spec;
 }
 
@@ -49,7 +58,6 @@ quickOptions()
 {
     RunOptions options;
     options.jobs = 2;
-    options.retry_backoff_ms = 1; // keep retry tests fast
     return options;
 }
 
@@ -57,103 +65,74 @@ TEST(Resilience, CrashBecomesStructuredFailure)
 {
     Campaign campaign;
     campaign.name = "t";
-    campaign.jobs = {faultyJob(0, InjectedFault::kCrash), quickJob(1)};
+    campaign.jobs = {failingJob(0), quickJob(1)};
 
     const CampaignRunResult run = runCampaign(campaign, quickOptions());
     ASSERT_EQ(run.results.size(), 2u);
 
-    const JobResult &crashed = run.results[0];
-    EXPECT_FALSE(crashed.ok);
-    EXPECT_EQ(crashed.failure, JobFailure::kException);
-    EXPECT_NE(crashed.error.find("injected crash"), std::string::npos);
-    EXPECT_EQ(crashed.attempts, 1u); // permanent: no retry burned
+    const JobResult &failed = run.results[0];
+    EXPECT_EQ(failed.id, 0u);
+    EXPECT_FALSE(failed.ok);
+    EXPECT_EQ(failed.failure, JobFailure::kException);
+    EXPECT_NE(failed.error.find("corpus variant rejected"),
+              std::string::npos)
+        << failed.error;
+    EXPECT_NE(failed.error.find("bad-name"), std::string::npos)
+        << failed.error;
 
-    // The healthy neighbour is untouched under the default keep-going.
+    // The healthy neighbour is untouched under the default keep_going.
     EXPECT_TRUE(run.results[1].ok);
     EXPECT_EQ(run.results[1].failure, JobFailure::kNone);
     EXPECT_EQ(run.failedJobs(), 1u);
 }
 
-TEST(Resilience, HangIsCancelledByItsDeadline)
+TEST(Resilience, KeepGoingRunsEveryFailingJob)
 {
-    JobSpec hang = faultyJob(0, InjectedFault::kHang);
-    hang.knobs.deadline_ms = 100;
-
     Campaign campaign;
     campaign.name = "t";
-    campaign.jobs = {hang};
-
-    const CampaignRunResult run = runCampaign(campaign, quickOptions());
-    ASSERT_EQ(run.results.size(), 1u);
-    EXPECT_FALSE(run.results[0].ok);
-    EXPECT_EQ(run.results[0].failure, JobFailure::kTimeout);
-    EXPECT_EQ(run.results[0].attempts, 1u); // timeouts are permanent
-}
-
-TEST(Resilience, TransientFailureIsRetriedToSuccess)
-{
-    JobSpec flaky = faultyJob(0, InjectedFault::kTransient);
-    flaky.knobs.inject_fail_attempts = 1; // first attempt throws
-
-    Campaign campaign;
-    campaign.name = "t";
-    campaign.jobs = {flaky};
-
-    const CampaignRunResult run = runCampaign(campaign, quickOptions());
-    ASSERT_EQ(run.results.size(), 1u);
-    EXPECT_TRUE(run.results[0].ok);
-    EXPECT_EQ(run.results[0].failure, JobFailure::kNone);
-    EXPECT_EQ(run.results[0].attempts, 2u);
-    EXPECT_EQ(run.failedJobs(), 0u);
-}
-
-TEST(Resilience, TransientFailureExhaustsItsAttemptBudget)
-{
-    JobSpec doomed = faultyJob(0, InjectedFault::kTransient);
-    doomed.knobs.inject_fail_attempts = 10; // more than any budget here
-
-    Campaign campaign;
-    campaign.name = "t";
-    campaign.jobs = {doomed};
+    for (std::uint32_t id = 0; id < 4; ++id)
+        campaign.jobs.push_back(failingJob(id));
 
     RunOptions options = quickOptions();
-    options.max_attempts = 2;
+    options.jobs = 1;
     const CampaignRunResult run = runCampaign(campaign, options);
-    ASSERT_EQ(run.results.size(), 1u);
-    EXPECT_FALSE(run.results[0].ok);
-    EXPECT_EQ(run.results[0].failure, JobFailure::kRetriesExhausted);
-    EXPECT_EQ(run.results[0].attempts, 2u);
+    ASSERT_EQ(run.results.size(), 4u);
+    for (const JobResult &result : run.results)
+        EXPECT_EQ(result.failure, JobFailure::kException) << result.id;
+    EXPECT_EQ(run.failedJobs(), 4u);
 }
 
 TEST(Resilience, FailFastSkipsJobsNotYetStarted)
 {
-    // Every job crashes, so whichever the (single, so strictly serial)
+    // Every job fails, so whichever the (single, so strictly serial)
     // worker picks first fails and arms the abort flag — the other
     // three must be recorded as skipped, never attempted. This holds
     // regardless of the pool's claim order.
     Campaign campaign;
     campaign.name = "t";
     for (std::uint32_t id = 0; id < 4; ++id)
-        campaign.jobs.push_back(faultyJob(id, InjectedFault::kCrash));
+        campaign.jobs.push_back(failingJob(id));
 
     RunOptions options = quickOptions();
     options.jobs = 1;
     options.keep_going = false;
     const CampaignRunResult run = runCampaign(campaign, options);
     ASSERT_EQ(run.results.size(), 4u);
-    std::size_t crashed = 0;
+    std::size_t thrown = 0;
     std::size_t skipped = 0;
     for (const JobResult &result : run.results) {
         EXPECT_FALSE(result.ok);
         if (result.failure == JobFailure::kException) {
-            ++crashed;
+            EXPECT_NE(result.error.find("corpus variant rejected"),
+                      std::string::npos);
+            ++thrown;
         } else {
             EXPECT_EQ(result.failure, JobFailure::kSkipped);
             EXPECT_NE(result.error.find("fail-fast"), std::string::npos);
             ++skipped;
         }
     }
-    EXPECT_EQ(crashed, 1u);
+    EXPECT_EQ(thrown, 1u);
     EXPECT_EQ(skipped, 3u);
     EXPECT_EQ(run.failedJobs(), 4u);
 }
@@ -162,28 +141,39 @@ TEST(Resilience, ReportCarriesFailureFieldsOnlyForFailedJobs)
 {
     Campaign campaign;
     campaign.name = "t";
-    campaign.jobs = {faultyJob(0, InjectedFault::kCrash), quickJob(1)};
+    campaign.jobs = {failingJob(0), quickJob(1)};
 
     const CampaignRunResult run = runCampaign(campaign, quickOptions());
     const std::string json = reportJson(campaign, run.results);
 
-    // Exactly one job failed, so the failure key appears exactly once —
-    // healthy jobs serialise exactly as they did before the resilience
-    // layer existed.
-    std::size_t failures = 0;
-    for (std::size_t at = json.find("\"failure\"");
-         at != std::string::npos;
-         at = json.find("\"failure\"", at + 1)) {
-        ++failures;
+    // Exactly one job failed, so the failure and error keys appear
+    // exactly once each: a healthy job carries neither.
+    for (const char *key : {"\"failure\"", "\"error\""}) {
+        const std::size_t first = json.find(key);
+        ASSERT_NE(first, std::string::npos) << key;
+        EXPECT_EQ(json.find(key, first + 1), std::string::npos) << key;
     }
-    EXPECT_EQ(failures, 1u);
     EXPECT_NE(json.find("\"failure\": \"exception\""), std::string::npos);
-    // The healthy single-attempt job serialises no attempts field
-    // either, so it appears exactly once (with the failed job).
-    const std::size_t first_attempts = json.find("\"attempts\"");
-    ASSERT_NE(first_attempts, std::string::npos);
-    EXPECT_EQ(json.find("\"attempts\"", first_attempts + 1),
+    // No job, failed or not, carries an attempt count.
+    EXPECT_EQ(json.find("\"attempts\""), std::string::npos);
+    EXPECT_EQ(reportCsv(campaign, run.results).find("attempts"),
               std::string::npos);
+}
+
+TEST(ResilienceCampaign, SweepsFourFaultRatesOnPbzip2)
+{
+    const Campaign campaign = makeCampaign("table-resilience");
+    ASSERT_EQ(campaign.jobs.size(), 4u);
+    const double rates[] = {0.0, 0.002, 0.01, 0.05};
+    for (std::size_t i = 0; i < campaign.jobs.size(); ++i) {
+        const JobSpec &spec = campaign.jobs[i];
+        EXPECT_EQ(spec.id, i);
+        EXPECT_EQ(spec.kind, JobKind::kResilience) << i;
+        EXPECT_EQ(spec.scheme, Scheme::kAct) << i;
+        EXPECT_EQ(spec.workload, "pbzip2") << i;
+        EXPECT_EQ(spec.knobs.fault_rate, rates[i]) << i;
+        EXPECT_EQ(spec.knobs.fault_seed, 0xfa117u) << i;
+    }
 }
 
 TEST(Resilience, RateZeroResilienceJobMatchesDiagnoseAct)

@@ -18,8 +18,7 @@
  *   --no-mem-cache  drop the in-memory trace layer (stress disk path)
  *   --verbose       per-job progress on stderr
  *   --fail-fast     stop scheduling new jobs after the first failure
- *   --max-attempts N  attempt budget per job (transient retries)
- *   --deadline-ms N   default per-job wall-clock deadline
+ *                   (jobs not yet started are reported as skipped)
  *   --metrics-out F   write a metrics snapshot JSON after the run
  *   --trace-out F     write a Chrome trace_event JSON after the run
  *                     (load in chrome://tracing or Perfetto)
@@ -32,8 +31,8 @@
  *   --log-level L     quiet | normal | debug
  *
  * Exit codes for `run`: 0 = all jobs succeeded, 3 = the campaign
- * completed but some jobs failed (the report carries the details),
- * 2 = usage error, 1 = fatal error.
+ * completed but some jobs failed or were skipped (the report carries
+ * the details), 2 = usage error, 1 = fatal error.
  */
 
 #include <sys/stat.h>
@@ -74,8 +73,6 @@ struct Options
     bool memory_cache = true;
     bool verbose = false;
     bool keep_going = true;
-    std::uint32_t max_attempts = 3;
-    std::uint64_t deadline_ms = 0;
     std::string metrics_out;
     std::string trace_out;
     std::uint64_t metrics_interval_s = 0;
@@ -194,23 +191,6 @@ parse(int argc, char **argv)
             options.verbose = true;
         } else if (arg == "--fail-fast") {
             options.keep_going = false;
-        } else if (arg == "--keep-going") {
-            options.keep_going = true;
-        } else if (arg == "--max-attempts" && i + 1 < argc) {
-            const char *text = argv[++i];
-            char *end = nullptr;
-            options.max_attempts =
-                static_cast<std::uint32_t>(std::strtoul(text, &end, 0));
-            if (end == text || *end != '\0' || options.max_attempts == 0)
-                ACT_FATAL("--max-attempts expects a positive number, "
-                          "got: " << text);
-        } else if (arg == "--deadline-ms" && i + 1 < argc) {
-            const char *text = argv[++i];
-            char *end = nullptr;
-            options.deadline_ms = std::strtoull(text, &end, 0);
-            if (end == text || *end != '\0')
-                ACT_FATAL("--deadline-ms expects a number, got: "
-                          << text);
         } else if (arg == "--analyze") {
             options.analyze = true;
         } else if (arg == "--metrics-out" && i + 1 < argc) {
@@ -284,8 +264,6 @@ cmdRun(const Options &options)
     run_options.memory_cache = options.memory_cache;
     run_options.verbose = options.verbose;
     run_options.keep_going = options.keep_going;
-    run_options.max_attempts = options.max_attempts;
-    run_options.deadline_ms = options.deadline_ms;
     if (options.cache == "none")
         run_options.cache_dir.clear();
     else if (!options.cache.empty())
@@ -397,15 +375,15 @@ cmdRun(const Options &options)
         std::printf("\nFAILED JOBS (%llu of %zu):\n",
                     static_cast<unsigned long long>(failed),
                     campaign.jobs.size());
-        std::printf("  %-4s %-16s %-14s %-18s %-8s %s\n", "id",
-                    "workload", "kind", "failure", "attempts", "error");
+        std::printf("  %-4s %-16s %-14s %-10s %s\n", "id", "workload",
+                    "kind", "failure", "error");
         for (const JobResult &result : run.results) {
             if (result.failure == JobFailure::kNone)
                 continue;
             const JobSpec &spec = campaign.jobs[result.id];
-            std::printf("  %-4u %-16s %-14s %-18s %-8u %s\n", result.id,
+            std::printf("  %-4u %-16s %-14s %-10s %s\n", result.id,
                         spec.workload.c_str(), jobKindName(spec.kind),
-                        jobFailureName(result.failure), result.attempts,
+                        jobFailureName(result.failure),
                         result.error.c_str());
         }
         return 3;
@@ -445,9 +423,9 @@ usage()
     std::fprintf(stderr,
                  "usage: actrun <list|run|report> [args] [--jobs N] "
                  "[--out DIR] [--cache DIR] [--no-mem-cache] "
-                 "[--verbose] [--fail-fast] [--max-attempts N] "
-                 "[--deadline-ms N] [--metrics-out F] [--trace-out F] "
-                 "[--metrics-interval S] [--analyze] [--log-level L]\n");
+                 "[--verbose] [--fail-fast] [--metrics-out F] "
+                 "[--trace-out F] [--metrics-interval S] [--analyze] "
+                 "[--log-level L]\n");
     return 2;
 }
 
